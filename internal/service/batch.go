@@ -1,11 +1,9 @@
 package service
 
 import (
+	"context"
 	"encoding/json"
-	"fmt"
 	"net/http"
-	"strings"
-	"sync/atomic"
 	"time"
 
 	"github.com/netecon-sim/publicoption/internal/cache"
@@ -61,14 +59,6 @@ type scenarioFrame struct {
 	RunResponse
 }
 
-// errorFrame reports one failed unit without tearing down the stream:
-// list-mode scenario failures carry their index and the stream continues;
-// grid-mode failures are terminal (the final done frame never arrives).
-type errorFrame struct {
-	Index *int   `json:"index,omitempty"`
-	Error string `json:"error"`
-}
-
 // gridHeaderFrame opens a grid-mode stream with the resolved geometry, so
 // clients can allocate before any cell arrives.
 type gridHeaderFrame struct {
@@ -116,48 +106,6 @@ type gridDoneFrame struct {
 	ElapsedMS float64 `json:"elapsed_ms"`
 }
 
-// ndjsonWriter serializes frames to the response, one JSON object per
-// line, flushing after every frame so results stream instead of buffering.
-// Each frame's serialize+write+flush time feeds the
-// pubopt_batch_frame_write_seconds histogram (nil metrics skips it).
-type ndjsonWriter struct {
-	w       http.ResponseWriter
-	flusher http.Flusher
-	metrics *metrics
-	started bool
-}
-
-func newNDJSONWriter(w http.ResponseWriter, m *metrics) *ndjsonWriter {
-	flusher, _ := w.(http.Flusher)
-	return &ndjsonWriter{w: w, flusher: flusher, metrics: m}
-}
-
-// frame writes one NDJSON frame. The first frame commits the 200 status
-// and the x-ndjson content type; errors after that point must travel as
-// error frames, not status codes.
-func (nw *ndjsonWriter) frame(v any) error {
-	start := time.Now()
-	b, err := json.Marshal(v)
-	if err != nil {
-		return fmt.Errorf("serializing frame: %w", err)
-	}
-	if !nw.started {
-		nw.w.Header().Set("Content-Type", "application/x-ndjson")
-		nw.w.WriteHeader(http.StatusOK)
-		nw.started = true
-	}
-	if _, err := nw.w.Write(append(b, '\n')); err != nil {
-		return err
-	}
-	if nw.flusher != nil {
-		nw.flusher.Flush()
-	}
-	if nw.metrics != nil {
-		nw.metrics.observeFrame(time.Since(start).Seconds())
-	}
-	return nil
-}
-
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req batchRequest
 	if err := decodeJSONBody(w, r, &req, false); err != nil {
@@ -165,19 +113,11 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	listMode := len(req.Scenarios) > 0
-	gridMode := req.Grid != "" || len(req.GridJSON) > 0
-	if listMode == gridMode {
+	if listMode == (req.Grid != "" || len(req.GridJSON) > 0) {
 		writeError(w, http.StatusBadRequest, "give exactly one of \"scenarios\" (a list of names or inline definitions) or \"grid\"/\"grid_json\" (one 2-D grid scenario)")
 		return
 	}
-	if req.Grid != "" && len(req.GridJSON) > 0 {
-		writeError(w, http.StatusBadRequest, "give only one of \"grid\" (a registered name) or \"grid_json\" (an inline definition)")
-		return
-	}
-	workers := req.Workers
-	if workers <= 0 {
-		workers = s.solveWorkers
-	}
+	workers := s.workers(req.Workers)
 	if listMode {
 		if req.Refine {
 			writeError(w, http.StatusBadRequest, "\"refine\" applies to grid mode only")
@@ -186,11 +126,21 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		s.batchScenarios(w, r, req.Scenarios, workers)
 		return
 	}
-	if req.Refine {
-		s.batchGridRefined(w, r, &req, workers)
+	sc, code, err := s.resolveScenario(req.Grid, req.GridJSON, gridKind)
+	if err != nil {
+		writeError(w, code, "%v", err)
 		return
 	}
-	s.batchGrid(w, r, &req, workers)
+	job, err := sc.CompileGrid()
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
+	if req.Refine {
+		s.batchGridRefined(w, r, sc, job, workers)
+		return
+	}
+	s.batchGrid(w, r, sc, job, workers)
 }
 
 // ---------------------------------------------------------------------------
@@ -212,7 +162,6 @@ func (s *Server) batchScenarios(w http.ResponseWriter, r *http.Request, list []j
 		if r.Context().Err() != nil {
 			return // client went away; stop solving
 		}
-		i := i
 		frame := s.solveBatchEntry(r, i, list[i], workers)
 		if ef, isErr := frame.(*errorFrame); isErr {
 			errs++
@@ -228,351 +177,150 @@ func (s *Server) batchScenarios(w http.ResponseWriter, r *http.Request, list []j
 	//pubopt:allow(streamcheck): terminal summary frame; the stream ends either way and there is nothing left to abort
 	nw.frame(&listDoneFrame{
 		Done: true, Results: results, Errors: errs,
-		ElapsedMS: float64(time.Since(start).Microseconds()) / 1e3,
+		ElapsedMS: millis(time.Since(start)),
 	})
 }
 
-// solveBatchEntry resolves one list element (name or inline definition) and
-// solves it through the cache, returning the frame to stream. Each entry is
-// metered and flight-recorded like a standalone run, under the batch
-// request's trace ID.
+// solveBatchEntry resolves one list element (a name or an inline
+// definition) and solves it through the same cache path as POST /v1/runs,
+// returning the frame to stream. An element that does not resolve to a
+// 1-D scenario fails before the cache.
 func (s *Server) solveBatchEntry(r *http.Request, index int, raw json.RawMessage, workers int) any {
-	errf := func(format string, args ...any) *errorFrame {
-		return &errorFrame{Index: &index, Error: fmt.Sprintf(format, args...)}
-	}
-	var key string
-	var getScenario func() (*scenario.Scenario, error)
 	var name string
-	if err := json.Unmarshal(raw, &name); err == nil {
-		k, ok := s.scenarioKeys[name]
-		if !ok {
-			return errf("unknown scenario %q", name)
-		}
-		key = k
-		getScenario = func() (*scenario.Scenario, error) {
-			sc, ok := scenario.Get(name)
-			if !ok {
-				return nil, fmt.Errorf("scenario %q vanished from the registry", name)
-			}
-			return sc, nil
-		}
-	} else {
-		sc, err := scenario.Load(strings.NewReader(string(raw)))
-		if err != nil {
-			return errf("%v", err)
-		}
-		canon, err := sc.CanonicalJSON()
-		if err != nil {
-			return errf("serializing scenario: %v", err)
-		}
-		key, err = cache.Key("run/scenario/v1", json.RawMessage(canon))
-		if err != nil {
-			return errf("%v", err)
-		}
-		getScenario = func() (*scenario.Scenario, error) { return sc, nil }
-		name = sc.Name
+	if json.Unmarshal(raw, &name) == nil {
+		raw = nil
 	}
-
-	reqStart := time.Now()
-	// delta is only written when the solve closure runs, and DoContext runs
-	// it in this goroutine (coalesced callers never execute it), so no lock.
-	var delta obs.SolveStats
-	val, status, err := s.store.DoContext(r.Context(), key, func() (any, error) {
-		s.metrics.solveStarted()
-		defer s.metrics.solveFinished()
-		var sink obs.Counters
-		sc, err := getScenario()
-		if err != nil {
-			return nil, err
-		}
-		if sc.IsGrid() {
-			return nil, fmt.Errorf("scenario %q is a 2-D grid; submit it via the \"grid\" field", sc.Name)
-		}
-		if sc.IsDynamic() {
-			return nil, fmt.Errorf("scenario %q is a dynamics simulation; stream it via POST /v1/simulate", sc.Name)
-		}
-		tables, err := s.runScenario(sc, workers, &sink)
-		delta = sink.Snapshot()
-		s.counters.Add(delta)
-		if err != nil {
-			return nil, err
-		}
-		return &RunResult{Kind: "scenario", Name: sc.Name, Title: sc.Title, Tables: tablesToWire(tables)}, nil
+	sc, _, err := s.resolveScenario(name, raw, staticKind)
+	var key string
+	if err == nil {
+		key, err = s.runKey(name, sc)
+	}
+	if err != nil {
+		return &errorFrame{Index: &index, Error: err.Error()}
+	}
+	start := time.Now()
+	val, status, err := s.cachedSolve(r.Context(), "run", sc.Name, key, func(stats *obs.Counters) (any, error) {
+		return s.solveScenario(sc, workers, stats)
 	})
-	elapsed := time.Since(reqStart)
-	outcome := status.String()
 	if err != nil {
-		outcome = "error"
+		return &errorFrame{Index: &index, Error: "solve failed: " + err.Error()}
 	}
-	s.metrics.observeSolve(outcome, elapsed.Seconds())
-	ev := obs.Event{
-		Time: time.Now(), Trace: obs.TraceID(r.Context()), Kind: "run",
-		Name: name, Key: shortKey(key), Outcome: outcome,
-		DurationMS: float64(elapsed.Microseconds()) / 1e3,
-		Solver:     delta,
-	}
-	if err != nil {
-		ev.Error = err.Error()
-		s.recorder.Record(ev)
-		return errf("solve failed: %v", err)
-	}
-	s.recorder.Record(ev)
-	resp := RunResponse{
-		RunResult: *val.(*RunResult),
-		Cache:     status.String(),
-		ElapsedMS: float64(elapsed.Microseconds()) / 1e3,
-	}
-	if s.trace {
-		resp.Trace = obs.TraceID(r.Context())
-	}
-	return &scenarioFrame{Index: index, RunResponse: resp}
+	return &scenarioFrame{Index: index, RunResponse: s.runResponse(r, val, status, start)}
 }
 
 // ---------------------------------------------------------------------------
 // Grid mode.
 
-// solvedCell pairs a solved cell with its cache key so the streaming loop
-// can insert it as it emits the frame.
-type solvedCell struct {
-	cell scenario.Cell
-	key  string
+// gridHeader is the header frame of a grid stream, dense or refined.
+func gridHeader(sc *scenario.Scenario, job *scenario.GridJob, refine bool) *gridHeaderFrame {
+	return &gridHeaderFrame{Grid: gridInfo{
+		Name: sc.Name, Title: sc.Title,
+		XAxis: job.XAxis, YAxis: job.YAxis,
+		Xs: job.Xs, Ys: job.Ys, Layers: job.Layers, Cells: job.Cells(),
+		Refine: refine,
+	}}
 }
 
 // batchGrid streams a grid scenario cell by cell: header frame, cached
 // cells first (they cost one map probe each), then solved cells in
-// completion order, then the summary. Solving distributes rows across
-// workers by work stealing with one warm-started solver per worker, and
-// only rows with at least one missing cell are visited.
-func (s *Server) batchGrid(w http.ResponseWriter, r *http.Request, req *batchRequest, workers int) {
-	sc, errStatus, err := s.resolveGridScenario(req.Grid, req.GridJSON)
-	if err != nil {
-		writeError(w, errStatus, "%v", err)
-		return
-	}
-	job, err := sc.CompileGrid()
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-
+// completion order, then the summary.
+func (s *Server) batchGrid(w http.ResponseWriter, r *http.Request, sc *scenario.Scenario, job *scenario.GridJob, workers int) {
 	// Content-address every cell up front; the key layout is row-major.
-	keys := make([]string, job.Cells())
 	cols := len(job.Xs)
-	for row := 0; row < len(job.Ys); row++ {
-		for col := 0; col < cols; col++ {
-			k, err := cache.Key("batch/cell/v1", job.CellSpec(row, col))
-			if err != nil {
-				writeError(w, http.StatusInternalServerError, "hashing cell (%d,%d): %v", row, col, err)
-				return
-			}
-			keys[row*cols+col] = k
-		}
-	}
-
-	nw := newNDJSONWriter(w, s.metrics)
-	start := time.Now()
-	trace := obs.TraceID(r.Context())
-	frameTrace := ""
-	if s.trace {
-		frameTrace = trace
-	}
-	if err := nw.frame(&gridHeaderFrame{Grid: gridInfo{
-		Name: sc.Name, Title: sc.Title,
-		XAxis: job.XAxis, YAxis: job.YAxis,
-		Xs: job.Xs, Ys: job.Ys, Layers: job.Layers, Cells: job.Cells(),
-	}}); err != nil {
-		return
-	}
-
-	// Probe phase: stream hits immediately, collect misses per row.
-	hits := 0
-	missing := make(map[int][]int) // row -> missing columns, ascending
-	var missRows []int
-	for row := 0; row < len(job.Ys); row++ {
-		for col := 0; col < cols; col++ {
-			if r.Context().Err() != nil {
-				return // client gone mid-probe: stop streaming cached cells
-			}
-			val, ok := s.store.Lookup(keys[row*cols+col])
-			if !ok {
-				if len(missing[row]) == 0 {
-					missRows = append(missRows, row)
-				}
-				missing[row] = append(missing[row], col)
-				continue
-			}
-			hits++
-			// The cached Cell carries the row/col of whichever grid solved
-			// it first; its content address covers only physics, so a
-			// resized or reordered grid can hit cells whose stored indices
-			// no longer match. Re-anchor to this request's geometry before
-			// streaming.
-			cell := val.(scenario.Cell)
-			cell.Row, cell.Col = row, col
-			if err := nw.frame(&cellFrame{Cell: cell, Cache: cache.Hit.String(), Trace: frameTrace}); err != nil {
-				return
-			}
-		}
-	}
-
-	// Solve phase: only rows with holes, warm-started along each row. The
-	// stopped flag aborts promptly when the client disconnects — workers
-	// poll it per cell, so at most one in-flight cell per worker completes
-	// after cancellation.
-	solved := 0
-	// gridDelta collects the solve workers' kernel telemetry; zero when the
-	// grid was fully cached.
-	var gridDelta obs.SolveStats
-	if len(missRows) > 0 {
-		if workers > len(missRows) {
-			workers = len(missRows)
-		}
-		var stopped atomic.Bool
-		cellCh := make(chan solvedCell, cols)
-		solveErr := make(chan error, 1)
-		// gridDelta is written before the goroutine body returns, which
-		// happens-before the deferred close(cellCh), which happens-before the
-		// stream loop observing the closed channel — so reading it after the
-		// loop is safe without a lock.
-		ctx := r.Context()
-		go func() {
-			defer close(cellCh)
-			defer func() {
-				if p := recover(); p != nil {
-					select {
-					case solveErr <- fmt.Errorf("grid solve panicked: %v", p):
-					default:
-					}
-				}
-			}()
-			// A grid solve occupies one worker-pool slot, like any pooled
-			// solve: its internal row parallelism plays the role of a
-			// solve's per-solve parallelism, so concurrent cold grids queue
-			// instead of oversubscribing the CPU. A client that vanishes
-			// while queued gives its slot wait up via the request context.
-			release, err := s.store.ReserveContext(ctx)
-			if err != nil {
-				return
-			}
-			defer release()
-			s.metrics.solveStarted()
-			defer s.metrics.solveFinished()
-			state := make([]*scenario.GridWorker, workers)
-			sweep.RunRowsContext(ctx, workers, len(missRows), func(worker, ri int) {
-				if state[worker] == nil {
-					state[worker] = job.NewWorker()
-				}
-				row := missRows[ri]
-				for _, col := range missing[row] {
-					if stopped.Load() {
-						return
-					}
-					cell := state[worker].SolveCell(row, col)
-					cellCh <- solvedCell{cell: cell, key: keys[row*cols+col]}
-				}
-			})
-			for _, gw := range state {
-				if gw != nil {
-					gridDelta.Accumulate(gw.Stats())
-				}
-			}
-			s.counters.Add(gridDelta)
-		}()
-
-	stream:
-		for {
-			select {
-			case c, ok := <-cellCh:
-				if !ok {
-					break stream
-				}
-				s.store.Put(c.key, c.cell)
-				solved++
-				s.recorder.Record(obs.Event{
-					Time: time.Now(), Trace: trace, Kind: "cell", Name: sc.Name,
-					Key: shortKey(c.key), Outcome: cache.Miss.String(),
-				})
-				if err := nw.frame(&cellFrame{Cell: c.cell, Cache: cache.Miss.String(), Trace: frameTrace}); err != nil {
-					stopped.Store(true)
-				}
-			case <-ctx.Done():
-				stopped.Store(true)
-				// Drain so the workers can finish their in-flight cells and
-				// the goroutine exits; solved-but-unstreamed cells still
-				// enter the cache — the work is not wasted.
-				for c := range cellCh {
-					s.store.Put(c.key, c.cell)
-					solved++
-				}
-				break stream
-			}
-		}
-		select {
-		case err := <-solveErr:
-			s.logger.Error("batch grid failed", "grid", sc.Name, "trace", trace, "error", err)
-			s.recorder.Record(obs.Event{
-				Time: time.Now(), Trace: trace, Kind: "grid", Name: sc.Name,
-				Outcome: "error", Error: err.Error(),
-				DurationMS: float64(time.Since(start).Microseconds()) / 1e3,
-			})
-			s.metrics.observeSolve("error", time.Since(start).Seconds())
-			//pubopt:allow(streamcheck): terminal error frame right before return; the stream is over regardless
-			nw.frame(&errorFrame{Error: err.Error()})
+	keys := make([]string, job.Cells())
+	for i := range keys {
+		k, err := cache.Key("batch/cell/v1", job.CellSpec(i/cols, i%cols))
+		if err != nil {
+			writeError(w, http.StatusInternalServerError, "hashing cell (%d,%d): %v", i/cols, i%cols, err)
 			return
-		default:
 		}
-		if r.Context().Err() != nil {
-			return // client gone: no summary frame
-		}
+		keys[i] = k
 	}
-
-	elapsed := time.Since(start)
-	// The whole grid request is one solve-duration observation: "miss" if
-	// anything was solved, "hit" for a fully warm replay.
-	outcome := cache.Miss.String()
-	if solved == 0 {
-		outcome = cache.Hit.String()
-	}
-	s.metrics.observeSolve(outcome, elapsed.Seconds())
-	s.recorder.Record(obs.Event{
-		Time: time.Now(), Trace: trace, Kind: "grid", Name: sc.Name,
-		Outcome: outcome, DurationMS: float64(elapsed.Microseconds()) / 1e3,
-		Solver: gridDelta,
-	})
-	s.logger.Info("batch grid served",
-		"grid", sc.Name, "cells", job.Cells(), "solved", solved, "cached", hits,
-		"elapsed_s", elapsed.Seconds(), "solves", gridDelta.Solves,
-		"evals", gridDelta.Evals, "trace", trace)
-	//pubopt:allow(streamcheck): terminal summary frame; the stream ends either way and there is nothing left to abort
-	nw.frame(&gridDoneFrame{
-		Done: true, Cells: job.Cells(), Solved: solved, CacheHits: hits,
-		ElapsedMS: float64(elapsed.Microseconds()) / 1e3,
+	s.streamUnits(w, r, &unitStream{
+		kind: "grid", unit: "cell", name: sc.Name,
+		header: gridHeader(sc, job, false),
+		keys:   keys,
+		frame: func(i int, val any, status, trace string) any {
+			// A cached Cell carries the row/col of whichever grid solved it
+			// first; its content address covers only physics, so a resized
+			// or reordered grid can hit cells whose stored indices no longer
+			// match. Re-anchor to this request's geometry.
+			cell := val.(scenario.Cell)
+			cell.Row, cell.Col = i/cols, i%cols
+			return &cellFrame{Cell: cell, Cache: status, Trace: trace}
+		},
+		solve: func(ctx context.Context, out *streamOut) (obs.SolveStats, error) {
+			return solveGridCells(ctx, job, workers, out)
+		},
+		done: func(hits, solved int, elapsed time.Duration) any {
+			return &gridDoneFrame{
+				Done: true, Cells: job.Cells(), Solved: solved, CacheHits: hits,
+				ElapsedMS: millis(elapsed),
+			}
+		},
 	})
 }
 
-// resolveGridScenario materializes a grid scenario from its registered name
-// or inline JSON, enforcing that it actually declares a grid. Shared by the
-// batch grid modes and /v1/query.
-func (s *Server) resolveGridScenario(name string, raw json.RawMessage) (*scenario.Scenario, int, error) {
-	var sc *scenario.Scenario
-	if name != "" {
-		got, ok := s.scenarios[name]
-		if !ok {
-			return nil, http.StatusNotFound, fmt.Errorf("unknown scenario %q", name)
+// solvedCell is one cell a grid worker solved, with its row-major index.
+type solvedCell struct {
+	i    int
+	cell scenario.Cell
+}
+
+// solveGridCells solves the grid's missing cells: only rows with a hole
+// are visited, distributed across workers by work stealing with one
+// warm-started solver per worker, so the column sweep survives the cache
+// holes. Workers hand cells to this goroutine, which banks and streams
+// them; once the stream ends the workers stop after their in-flight cell,
+// and cells they still finish are cached, not wasted.
+func solveGridCells(ctx context.Context, job *scenario.GridJob, workers int, out *streamOut) (obs.SolveStats, error) {
+	cols := len(job.Xs)
+	var rows [][]int // the missing cell indexes of each row with a hole
+	for _, i := range out.missing {
+		if n := len(rows); n > 0 && rows[n-1][0]/cols == i/cols {
+			rows[n-1] = append(rows[n-1], i)
+		} else {
+			rows = append(rows, []int{i})
 		}
-		sc = got
-	} else {
-		got, err := scenario.Load(strings.NewReader(string(raw)))
-		if err != nil {
-			return nil, http.StatusBadRequest, err
+	}
+	workers = min(workers, len(rows))
+	ctx, stop := context.WithCancel(ctx)
+	defer stop()
+	// A row's worth of buffer lets a worker keep solving its row while this
+	// goroutine is busy writing a frame.
+	cells := make(chan solvedCell, cols)
+	// delta and crash are written before the goroutine closes cells, which
+	// happens-before the range below ends, so reading them after is safe.
+	var delta obs.SolveStats
+	var crash any
+	go func() {
+		defer close(cells)
+		defer func() { crash = recover() }()
+		state := make([]*scenario.GridWorker, workers)
+		sweep.RunRowsContext(ctx, workers, len(rows), func(worker, ri int) {
+			if state[worker] == nil {
+				state[worker] = job.NewWorker()
+			}
+			for _, i := range rows[ri] {
+				if ctx.Err() != nil {
+					return
+				}
+				cells <- solvedCell{i: i, cell: state[worker].SolveCell(i/cols, i%cols)}
+			}
+		})
+		for _, gw := range state {
+			if gw != nil {
+				delta.Accumulate(gw.Stats())
+			}
 		}
-		sc = got
+	}()
+	for c := range cells {
+		if out.miss(c.i, c.cell, obs.SolveStats{}) != nil {
+			stop()
+		}
 	}
-	if sc.IsDynamic() {
-		return nil, http.StatusBadRequest, fmt.Errorf("scenario %q is a dynamics simulation; stream it via POST /v1/simulate", sc.Name)
+	if crash != nil {
+		panic(crash) // re-raised on the stream's goroutine, which reports it
 	}
-	if !sc.IsGrid() {
-		return nil, http.StatusBadRequest, fmt.Errorf("scenario %q declares a 1-D sweep; use \"scenarios\" for it or add a sweep.grid axis", sc.Name)
-	}
-	return sc, 0, nil
+	return delta, nil
 }

@@ -1,13 +1,14 @@
 package service
 
 import (
-	"errors"
+	"context"
 	"net/http"
 	"time"
 
 	"github.com/netecon-sim/publicoption/internal/cache"
 	"github.com/netecon-sim/publicoption/internal/obs"
 	"github.com/netecon-sim/publicoption/internal/refine"
+	"github.com/netecon-sim/publicoption/internal/scenario"
 )
 
 // POST /v1/batch with "refine": true — the adaptive-refinement stream. The
@@ -67,135 +68,66 @@ type refineDoneFrame struct {
 	ElapsedMS float64         `json:"elapsed_ms"`
 }
 
-// errClientGone marks a mid-stream write failure: the client disconnected,
-// so the refinement run is aborted without logging an error.
-var errClientGone = errors.New("client disconnected mid-stream")
-
 // batchGridRefined streams an adaptive-refinement run of a grid scenario.
-// Unlike the dense path, frames are emitted straight from the engine's
-// sequential merge on this goroutine — the engine's own worker pool solves
-// rows in parallel underneath.
-func (s *Server) batchGridRefined(w http.ResponseWriter, r *http.Request, req *batchRequest, workers int) {
-	sc, errStatus, err := s.resolveGridScenario(req.Grid, req.GridJSON)
-	if err != nil {
-		writeError(w, errStatus, "%v", err)
-		return
-	}
-	job, err := sc.CompileGrid()
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	surrKey, err := s.surrogateKey(sc)
+// Frames are emitted straight from the engine's sequential merge on the
+// stream's goroutine — the engine's own worker pool solves rows in
+// parallel underneath and probes the per-cell cache itself.
+func (s *Server) batchGridRefined(w http.ResponseWriter, r *http.Request, sc *scenario.Scenario, job *scenario.GridJob, workers int) {
+	surrKey, err := scenarioKey("refine/surrogate/v1", sc)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-
-	nw := newNDJSONWriter(w, s.metrics)
-	start := time.Now()
-	ctx := r.Context()
-	trace := obs.TraceID(ctx)
-	frameTrace := ""
-	if s.trace {
-		frameTrace = trace
-	}
-	if err := nw.frame(&gridHeaderFrame{Grid: gridInfo{
-		Name: sc.Name, Title: sc.Title,
-		XAxis: job.XAxis, YAxis: job.YAxis,
-		Xs: job.Xs, Ys: job.Ys, Layers: job.Layers, Cells: job.Cells(),
-		Refine: true,
-	}}); err != nil {
-		return
-	}
-
-	// A refinement run occupies one worker-pool slot like any pooled solve;
-	// its internal row parallelism is the per-solve parallelism.
-	release, err := s.store.ReserveContext(ctx)
-	if err != nil {
-		return // client gone while queued
-	}
-	s.metrics.solveStarted()
-	var sink obs.Counters
-	prob, flush := job.RefineProblem(&sink)
-	lookup, store := s.cellHooks(job)
-	res, err := refine.Run(ctx, prob, job.RefineSpec(), refine.Options{
-		Workers: workers,
-		Lookup:  lookup,
-		Store:   store,
-		OnPoint: func(p refine.Point) error {
-			outcome := cache.Miss.String()
-			if p.Reused {
-				outcome = cache.Hit.String()
+	var res *refine.Result
+	s.streamUnits(w, r, &unitStream{
+		kind: "grid", name: sc.Name, key: surrKey,
+		header: gridHeader(sc, job, true),
+		solve: func(ctx context.Context, out *streamOut) (obs.SolveStats, error) {
+			var sink obs.Counters
+			prob, flush := job.RefineProblem(&sink)
+			lookup, store := s.cellHooks(job)
+			var err error
+			res, err = refine.Run(ctx, prob, job.RefineSpec(), refine.Options{
+				Workers: workers,
+				Lookup:  lookup,
+				Store:   store,
+				OnPoint: func(p refine.Point) error {
+					status := cache.Miss.String()
+					if p.Reused {
+						status = cache.Hit.String()
+					}
+					return out.frame(&pointFrame{
+						Point: refinePoint{X: p.X, Y: p.Y, Values: job.ValuesMap(p.Values)},
+						Cache: status, Trace: out.echo,
+					})
+				},
+				OnLeaf: func(l refine.Leaf) error {
+					return out.frame(&leafFrame{Leaf: refineLeaf{
+						X0: l.X0, Y0: l.Y0, X1: l.X1, Y1: l.Y1,
+						Depth: l.Depth, Screened: l.Screened,
+					}})
+				},
+			})
+			flush()
+			if err != nil {
+				return sink.Snapshot(), err
 			}
-			if err := nw.frame(&pointFrame{
-				Point: refinePoint{X: p.X, Y: p.Y, Values: job.ValuesMap(p.Values)},
-				Cache: outcome, Trace: frameTrace,
-			}); err != nil {
-				return errClientGone
-			}
-			return nil
+			st := res.Stats()
+			s.refineCounters.Add(st)
+			// Cache the surrogate so GET /v1/query answers this grid
+			// solve-free from now on.
+			s.store.Put(surrKey, res)
+			out.solved = int(st.PointsSolved + st.ProbeSolves)
+			return sink.Snapshot(), nil
 		},
-		OnLeaf: func(l refine.Leaf) error {
-			if err := nw.frame(&leafFrame{Leaf: refineLeaf{
-				X0: l.X0, Y0: l.Y0, X1: l.X1, Y1: l.Y1,
-				Depth: l.Depth, Screened: l.Screened,
-			}}); err != nil {
-				return errClientGone
+		done: func(_, _ int, elapsed time.Duration) any {
+			fineXs, fineYs := res.FineDims()
+			return &refineDoneFrame{
+				Done: true, FineXs: fineXs, FineYs: fineYs,
+				Verified: res.Verified(), MaxError: res.MaxError(), Tolerance: res.Tolerance(),
+				Refine:    res.Stats(),
+				ElapsedMS: millis(elapsed),
 			}
-			return nil
 		},
-	})
-	flush()
-	release()
-	s.metrics.solveFinished()
-	delta := sink.Snapshot()
-	s.counters.Add(delta)
-	elapsed := time.Since(start)
-	if err != nil {
-		if errors.Is(err, errClientGone) || ctx.Err() != nil {
-			return // no client to tell
-		}
-		s.logger.Error("batch refine failed", "grid", sc.Name, "trace", trace, "error", err)
-		s.recorder.Record(obs.Event{
-			Time: time.Now(), Trace: trace, Kind: "grid", Name: sc.Name,
-			Outcome: "error", Error: err.Error(),
-			DurationMS: float64(elapsed.Microseconds()) / 1e3,
-		})
-		s.metrics.observeSolve("error", elapsed.Seconds())
-		//pubopt:allow(streamcheck): terminal error frame right before return; the stream is over regardless
-		nw.frame(&errorFrame{Error: err.Error()})
-		return
-	}
-
-	st := res.Stats()
-	s.refineCounters.Add(st)
-	// Cache the surrogate so GET /v1/query answers this grid solve-free
-	// from now on.
-	s.store.Put(surrKey, res)
-	outcome := cache.Miss.String()
-	if st.PointsSolved+st.ProbeSolves == 0 {
-		outcome = cache.Hit.String()
-	}
-	s.metrics.observeSolve(outcome, elapsed.Seconds())
-	s.recorder.Record(obs.Event{
-		Time: time.Now(), Trace: trace, Kind: "grid", Name: sc.Name,
-		Key: shortKey(surrKey), Outcome: outcome,
-		DurationMS: float64(elapsed.Microseconds()) / 1e3,
-		Solver:     delta,
-	})
-	fineXs, fineYs := res.FineDims()
-	s.logger.Info("batch refine served",
-		"grid", sc.Name, "fine_cells", fineXs*fineYs,
-		"points_solved", st.PointsSolved, "points_reused", st.PointsReused,
-		"probes", st.ProbeSolves, "leaves", st.Leaves(),
-		"verified", res.Verified(), "max_error", res.MaxError(),
-		"elapsed_s", elapsed.Seconds(), "solves", delta.Solves, "trace", trace)
-	//pubopt:allow(streamcheck): terminal summary frame; the stream ends either way and there is nothing left to abort
-	nw.frame(&refineDoneFrame{
-		Done: true, FineXs: fineXs, FineYs: fineYs,
-		Verified: res.Verified(), MaxError: res.MaxError(), Tolerance: res.Tolerance(),
-		Refine:    st,
-		ElapsedMS: float64(elapsed.Microseconds()) / 1e3,
 	})
 }

@@ -224,18 +224,30 @@ func TestBatchValidation(t *testing.T) {
 
 func TestBatchGridScenarioInListModeIsErrorFrame(t *testing.T) {
 	s := New(Options{})
-	w := do(t, s, "POST", "/v1/batch", `{"scenarios": ["po-sizing-gamma-nu"]}`)
+	misses := s.CacheStats().Misses
+	errs := metricValue(t, s, `pubopt_solve_duration_seconds_count{outcome="error"}`)
+	w := do(t, s, "POST", "/v1/batch", `{"scenarios": ["po-sizing-gamma-nu", "dyn-convergence"]}`)
 	if w.Code != http.StatusOK {
 		t.Fatalf("status %d: %s", w.Code, w.Body)
 	}
 	frames := ndjsonFrames(t, w.Body.String())
-	if !frameHas(frames[0], "error") {
-		t.Fatalf("grid scenario in list mode did not error: %v", frames[0])
+	for i, want := range []string{"grid", "simulate"} {
+		if !frameHas(frames[i], "error") {
+			t.Fatalf("entry %d in list mode did not error: %v", i, frames[i])
+		}
+		var msg string
+		json.Unmarshal(frames[i]["error"], &msg)
+		if !strings.Contains(msg, want) {
+			t.Fatalf("error %q does not point at %q", msg, want)
+		}
 	}
-	var msg string
-	json.Unmarshal(frames[0]["error"], &msg)
-	if !strings.Contains(msg, "grid") {
-		t.Fatalf("error %q does not point at the grid field", msg)
+	// Wrong-kind entries are input errors, rejected before the cache: no
+	// probe, no pool slot, no failed-solve sample.
+	if got := s.CacheStats().Misses; got != misses {
+		t.Fatalf("cache misses %d -> %d, want unchanged", misses, got)
+	}
+	if got := metricValue(t, s, `pubopt_solve_duration_seconds_count{outcome="error"}`); got != errs {
+		t.Fatalf("error samples %g -> %g, want unchanged", errs, got)
 	}
 }
 

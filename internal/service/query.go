@@ -2,7 +2,6 @@ package service
 
 import (
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"strconv"
 	"time"
@@ -105,13 +104,9 @@ func (s *Server) handleQueryGet(w http.ResponseWriter, r *http.Request) {
 // surrogate through the cache, evaluate — falling back to a cached kernel
 // solve when the surrogate's error bound is not verified.
 func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, req *queryRequest) {
-	if (req.Grid == "") == (len(req.GridJSON) == 0) {
-		writeError(w, http.StatusBadRequest, "give exactly one of \"grid\" (a registered name) or \"grid_json\" (an inline definition)")
-		return
-	}
-	sc, errStatus, err := s.resolveGridScenario(req.Grid, req.GridJSON)
+	sc, code, err := s.resolveScenario(req.Grid, req.GridJSON, gridKind)
 	if err != nil {
-		writeError(w, errStatus, "%v", err)
+		writeError(w, code, "%v", err)
 		return
 	}
 	job, err := sc.CompileGrid()
@@ -119,19 +114,14 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, req *queryRe
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	surrKey, err := s.surrogateKey(sc)
+	surrKey, err := scenarioKey("refine/surrogate/v1", sc)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	workers := req.Workers
-	if workers <= 0 {
-		workers = s.solveWorkers
-	}
 
-	reqStart := time.Now()
-	trace := obs.TraceID(r.Context())
-	res, status, err := s.surrogateFor(r, sc.Name, surrKey, job, workers)
+	start := time.Now()
+	res, status, err := s.surrogateFor(r, sc.Name, surrKey, job, s.workers(req.Workers))
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "building surrogate: %v", err)
 		return
@@ -165,77 +155,34 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, req *queryRe
 		resp.Cache = st.String()
 	}
 	s.metrics.observeQuery(resp.Source)
-	resp.ElapsedMS = float64(time.Since(reqStart).Microseconds()) / 1e3
+	resp.ElapsedMS = millis(time.Since(start))
 	if s.trace {
-		resp.Trace = trace
+		resp.Trace = obs.TraceID(r.Context())
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// surrogateKey is the content address of a grid scenario's refined
-// surrogate: the canonical scenario bytes (refine block included) under the
-// surrogate namespace.
-func (s *Server) surrogateKey(sc *scenario.Scenario) (string, error) {
-	canon, err := sc.CanonicalJSON()
-	if err != nil {
-		return "", fmt.Errorf("serializing scenario: %v", err)
-	}
-	return cache.Key("refine/surrogate/v1", json.RawMessage(canon))
-}
-
-// surrogateFor returns the grid's refined surrogate, building it through
-// the cache's worker pool on first need. The build reads and writes the
-// per-cell equilibrium cache, so it shares solves with POST /v1/batch.
+// surrogateFor returns the grid's refined surrogate, cached under surrKey
+// (the canonical scenario bytes, refine block included), building it
+// through the cache's worker pool on first need. The build reads and
+// writes the per-cell equilibrium cache, so it shares solves with
+// POST /v1/batch.
 func (s *Server) surrogateFor(r *http.Request, name, surrKey string, job *scenario.GridJob, workers int) (*refine.Result, cache.Status, error) {
-	reqStart := time.Now()
-	var delta obs.SolveStats
 	lookup, store := s.cellHooks(job)
-	val, status, err := s.store.DoContext(r.Context(), surrKey, func() (any, error) {
-		s.metrics.solveStarted()
-		defer s.metrics.solveFinished()
-		var sink obs.Counters
-		prob, flush := job.RefineProblem(&sink)
+	val, status, err := s.cachedSolve(r.Context(), "query", name, surrKey, func(sink *obs.Counters) (any, error) {
+		prob, flush := job.RefineProblem(sink)
 		res, err := refine.Run(r.Context(), prob, job.RefineSpec(), refine.Options{
 			Workers: workers, Lookup: lookup, Store: store,
 		})
 		flush()
-		delta = sink.Snapshot()
-		s.counters.Add(delta)
 		if err != nil {
 			return nil, err
 		}
 		s.refineCounters.Add(res.Stats())
 		return res, nil
 	})
-	elapsed := time.Since(reqStart)
-	outcome := status.String()
 	if err != nil {
-		outcome = "error"
-	}
-	s.metrics.observeSolve(outcome, elapsed.Seconds())
-	ev := obs.Event{
-		Time: time.Now(), Trace: obs.TraceID(r.Context()), Kind: "query",
-		Name: name, Key: shortKey(surrKey), Outcome: outcome,
-		DurationMS: float64(elapsed.Microseconds()) / 1e3,
-		Solver:     delta,
-	}
-	if err != nil {
-		ev.Error = err.Error()
-		s.recorder.Record(ev)
-		s.logger.Warn("surrogate build failed",
-			"grid", name, "key", shortKey(surrKey), "trace", ev.Trace, "error", err)
 		return nil, status, err
-	}
-	s.recorder.Record(ev)
-	if status == cache.Miss {
-		res := val.(*refine.Result)
-		st := res.Stats()
-		s.logger.Info("surrogate built",
-			"grid", name, "key", shortKey(surrKey),
-			"points_solved", st.PointsSolved, "points_reused", st.PointsReused,
-			"probes", st.ProbeSolves, "leaves", st.Leaves(),
-			"verified", res.Verified(), "max_error", res.MaxError(),
-			"elapsed_s", elapsed.Seconds(), "trace", ev.Trace)
 	}
 	return val.(*refine.Result), status, nil
 }

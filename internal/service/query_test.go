@@ -1,9 +1,11 @@
 package service
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"strconv"
 	"strings"
 	"testing"
@@ -278,6 +280,40 @@ func TestBatchRefineStreamsPointsLeavesAndWarmsQuery(t *testing.T) {
 		}
 	}
 	_ = frames
+}
+
+// TestBatchRefineClientDisconnectStopsStream: a client that leaves a
+// refined batch mid-stream stops the run without a done frame, and the
+// lattice points solved before it stay cached for the next request.
+func TestBatchRefineClientDisconnectStopsStream(t *testing.T) {
+	s := New(Options{})
+	body := fmt.Sprintf(`{"grid_json": %s, "refine": true}`, tinyRefinedGridJSON("refine-dc",
+		`{"tolerance": 0.02, "max_depth": 3, "probes": 8}`))
+	// The "client" goes away after the header plus two point frames.
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	w := &cancelingWriter{after: 3, cancel: cancel}
+	s.ServeHTTP(w, httptest.NewRequest("POST", "/v1/batch", strings.NewReader(body)).WithContext(ctx))
+	out := w.buf.String()
+	if strings.Contains(out, `"done":true`) {
+		t.Fatalf("stream completed despite disconnect:\n%s", out)
+	}
+	if frames := ndjsonFrames(t, out); len(frames) != 3 || !frameHas(frames[0], "grid") {
+		t.Fatalf("got %d frames before the disconnect, want header + 2 points:\n%s", len(frames), out)
+	}
+
+	w2 := do(t, s, "POST", "/v1/batch", body)
+	var done refineDoneFrame
+	last := strings.Split(strings.TrimSpace(w2.Body.String()), "\n")
+	if err := json.Unmarshal([]byte(last[len(last)-1]), &done); err != nil {
+		t.Fatal(err)
+	}
+	if !done.Done || !done.Verified {
+		t.Fatalf("post-disconnect done frame %+v", done)
+	}
+	if done.Refine.PointsReused < 2 {
+		t.Fatalf("points streamed before the disconnect were not cached (reused=%d)", done.Refine.PointsReused)
+	}
 }
 
 func TestBatchRefineValidation(t *testing.T) {

@@ -37,6 +37,8 @@
 package service
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -120,7 +122,7 @@ type Server struct {
 	// through JSON on every call.
 	scenarioInfos   []ScenarioInfo
 	experimentInfos []ExperimentInfo
-	scenarios       map[string]*scenario.Scenario // read-only, for GET /v1/scenarios/{name}
+	scenarios       map[string]*scenario.Scenario // read-only: GET /v1/scenarios/{name}, name resolution
 	scenarioKeys    map[string]string             // name -> content-address cache key
 
 	// Runner indirection, overridable in tests to count or stub solves.
@@ -175,13 +177,9 @@ func New(opts Options) *Server {
 	for _, sc := range scenario.All() {
 		s.scenarioInfos = append(s.scenarioInfos, ScenarioInfo{Name: sc.Name, Title: sc.Title, Reference: sc.Reference, Grid: sc.IsGrid(), Dynamic: sc.IsDynamic()})
 		s.scenarios[sc.Name] = sc
-		canon, err := sc.CanonicalJSON()
+		key, err := scenarioKey("run/scenario/v1", sc)
 		if err != nil {
-			panic("service: built-in scenario does not serialize: " + err.Error())
-		}
-		key, err := cache.Key("run/scenario/v1", json.RawMessage(canon))
-		if err != nil {
-			panic("service: hashing built-in scenario: " + err.Error())
+			panic("service: built-in scenario: " + err.Error())
 		}
 		s.scenarioKeys[sc.Name] = key
 	}
@@ -382,88 +380,29 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		writeError(w, bodyErrorStatus(err), "%v", err)
 		return
 	}
-	if (req.Scenario == "") == (len(req.ScenarioJSON) == 0) {
-		writeError(w, http.StatusBadRequest, "give exactly one of \"scenario\" (a registered name) or \"scenario_json\" (an inline definition)")
+	sc, code, err := s.resolveScenario(req.Scenario, req.ScenarioJSON, staticKind)
+	if err != nil {
+		writeError(w, code, "%v", err)
 		return
 	}
-
-	// Content address: the canonical scenario bytes, regardless of whether
-	// they arrived as a name or inline. A named scenario and its identical
-	// inline copy share one cache entry. The named path uses the key
-	// precomputed at startup, so warm hits never touch the registry; the
-	// scenario itself is only materialized (a deep copy) inside the solve.
-	var key string
-	var getScenario func() (*scenario.Scenario, error)
-	if req.Scenario != "" {
-		var ok bool
-		key, ok = s.scenarioKeys[req.Scenario]
-		if !ok {
-			writeError(w, http.StatusNotFound, "unknown scenario %q", req.Scenario)
-			return
-		}
-		if s.scenarios[req.Scenario].IsGrid() {
-			writeError(w, http.StatusBadRequest, "scenario %q is a 2-D grid; run it via POST /v1/batch with the \"grid\" field", req.Scenario)
-			return
-		}
-		if s.scenarios[req.Scenario].IsDynamic() {
-			writeError(w, http.StatusBadRequest, "scenario %q is a dynamics simulation; run it via POST /v1/simulate with the \"scenario\" field", req.Scenario)
-			return
-		}
-		getScenario = func() (*scenario.Scenario, error) {
-			sc, ok := scenario.Get(req.Scenario)
-			if !ok {
-				return nil, fmt.Errorf("scenario %q vanished from the registry", req.Scenario)
-			}
-			return sc, nil
-		}
-	} else {
-		sc, err := scenario.Load(strings.NewReader(string(req.ScenarioJSON)))
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		if sc.IsGrid() {
-			writeError(w, http.StatusBadRequest, "scenario %q is a 2-D grid; run it via POST /v1/batch with the \"grid_json\" field", sc.Name)
-			return
-		}
-		if sc.IsDynamic() {
-			writeError(w, http.StatusBadRequest, "scenario %q is a dynamics simulation; run it via POST /v1/simulate with the \"scenario_json\" field", sc.Name)
-			return
-		}
-		canon, err := sc.CanonicalJSON()
-		if err != nil {
-			writeError(w, http.StatusInternalServerError, "serializing scenario: %v", err)
-			return
-		}
-		key, err = cache.Key("run/scenario/v1", json.RawMessage(canon))
-		if err != nil {
-			writeError(w, http.StatusInternalServerError, "%v", err)
-			return
-		}
-		getScenario = func() (*scenario.Scenario, error) { return sc, nil }
+	key, err := s.runKey(req.Scenario, sc)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, "%v", err)
+		return
 	}
-
-	workers := req.Workers
-	if workers <= 0 {
-		workers = s.solveWorkers
-	}
-	name := req.Scenario
-	if name == "" {
-		if sc, err := getScenario(); err == nil {
-			name = sc.Name
-		}
-	}
-	s.respondRun(w, r, "run", name, key, func(stats *obs.Counters) (any, error) {
-		sc, err := getScenario()
-		if err != nil {
-			return nil, err
-		}
-		tables, err := s.runScenario(sc, workers, stats)
-		if err != nil {
-			return nil, err
-		}
-		return &RunResult{Kind: "scenario", Name: sc.Name, Title: sc.Title, Tables: tablesToWire(tables)}, nil
+	workers := s.workers(req.Workers)
+	s.respondRun(w, r, "run", sc.Name, key, func(stats *obs.Counters) (any, error) {
+		return s.solveScenario(sc, workers, stats)
 	})
+}
+
+// solveScenario solves a 1-D scenario into its cacheable run result.
+func (s *Server) solveScenario(sc *scenario.Scenario, workers int, stats *obs.Counters) (any, error) {
+	tables, err := s.runScenario(sc, workers, stats)
+	if err != nil {
+		return nil, err
+	}
+	return &RunResult{Kind: "scenario", Name: sc.Name, Title: sc.Title, Tables: tablesToWire(tables)}, nil
 }
 
 // experimentRunRequest is the optional body of POST /v1/experiments/{id}/run.
@@ -506,10 +445,7 @@ func (s *Server) handleExperimentRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	workers := req.Workers
-	if workers <= 0 {
-		workers = s.solveWorkers
-	}
+	workers := s.workers(req.Workers)
 	cfg := experiment.Config{Fast: req.Fast, Seed: req.Seed, CPs: req.CPs, Workers: workers}
 	// Experiments drive their own runner internals (experiment.Config has no
 	// stats plumbing), so their events carry zero solver telemetry.
@@ -524,15 +460,42 @@ func (s *Server) handleExperimentRun(w http.ResponseWriter, r *http.Request) {
 
 // respondRun funnels both run endpoints through the cache and renders the
 // shared response envelope. The solve closure runs at most once per key
-// across all concurrent requests; the stats sink it receives collects the
-// solve's kernel telemetry for the server-wide counters and the flight
-// recorder. Coalesced waiters honor request-context cancellation.
+// across all concurrent requests.
 func (s *Server) respondRun(w http.ResponseWriter, r *http.Request, kind, name, key string, solve func(stats *obs.Counters) (any, error)) {
-	reqStart := time.Now()
-	// delta is only written when the solve closure runs, and Do runs it in
-	// this goroutine (coalesced callers never execute it), so no lock.
+	start := time.Now()
+	val, status, err := s.cachedSolve(r.Context(), kind, name, key, solve)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, "solve failed: %v", err)
+		return
+	}
+	writeJSON(w, http.StatusOK, s.runResponse(r, val, status, start))
+}
+
+// runResponse wraps a run result in the response envelope.
+func (s *Server) runResponse(r *http.Request, val any, status cache.Status, start time.Time) RunResponse {
+	resp := RunResponse{
+		RunResult: *val.(*RunResult),
+		Cache:     status.String(),
+		ElapsedMS: millis(time.Since(start)),
+	}
+	if s.trace {
+		resp.Trace = obs.TraceID(r.Context())
+	}
+	return resp
+}
+
+// cachedSolve runs solve through the cache under key: a hit returns the
+// cached value, concurrent identical requests coalesce onto one solve, and
+// a miss solves inside the worker pool (coalesced waiters honor ctx). It
+// meters every call the same way: solver counters, a solve-duration sample
+// by outcome, one flight-recorder event of the given kind, and a log line
+// for a cold solve or a failure.
+func (s *Server) cachedSolve(ctx context.Context, kind, name, key string, solve func(stats *obs.Counters) (any, error)) (any, cache.Status, error) {
+	start := time.Now()
+	// delta is only written when the solve closure runs, and DoContext runs
+	// it in this goroutine (coalesced callers never execute it), so no lock.
 	var delta obs.SolveStats
-	val, status, err := s.store.DoContext(r.Context(), key, func() (any, error) {
+	val, status, err := s.store.DoContext(ctx, key, func() (any, error) {
 		s.metrics.solveStarted()
 		defer s.metrics.solveFinished()
 		var sink obs.Counters
@@ -541,44 +504,102 @@ func (s *Server) respondRun(w http.ResponseWriter, r *http.Request, kind, name, 
 		s.counters.Add(delta)
 		return v, err
 	})
-	elapsed := time.Since(reqStart)
-	outcome := status.String()
-	if err != nil {
-		outcome = "error"
-	}
-	s.metrics.observeSolve(outcome, elapsed.Seconds())
-	trace := obs.TraceID(r.Context())
+	elapsed := time.Since(start)
 	ev := obs.Event{
-		Time: time.Now(), Trace: trace, Kind: kind, Name: name,
-		Key: shortKey(key), Outcome: outcome,
-		DurationMS: float64(elapsed.Microseconds()) / 1e3,
-		Solver:     delta,
+		Time: time.Now(), Trace: obs.TraceID(ctx), Kind: kind, Name: name,
+		Key: shortKey(key), Outcome: status.String(),
+		DurationMS: millis(elapsed), Solver: delta,
 	}
 	if err != nil {
-		ev.Error = err.Error()
-		s.recorder.Record(ev)
+		ev.Outcome, ev.Error = "error", err.Error()
 		s.logger.Warn("solve failed",
-			"kind", kind, "name", name, "key", shortKey(key), "trace", trace, "error", err)
-		writeError(w, http.StatusInternalServerError, "solve failed: %v", err)
-		return
-	}
-	s.recorder.Record(ev)
-	result := val.(*RunResult)
-	if status == cache.Miss {
+			"kind", kind, "name", name, "key", ev.Key, "trace", ev.Trace, "error", err)
+	} else if status == cache.Miss {
 		s.logger.Info("solved",
-			"kind", result.Kind, "name", result.Name, "key", shortKey(key),
-			"elapsed_s", elapsed.Seconds(), "solves", delta.Solves,
-			"evals", delta.Evals, "trace", trace)
+			"kind", kind, "name", name, "key", ev.Key, "elapsed_s", elapsed.Seconds(),
+			"solves", delta.Solves, "evals", delta.Evals, "trace", ev.Trace)
 	}
-	resp := RunResponse{
-		RunResult: *result,
-		Cache:     status.String(),
-		ElapsedMS: float64(elapsed.Microseconds()) / 1e3,
+	s.metrics.observeSolve(ev.Outcome, elapsed.Seconds())
+	s.recorder.Record(ev)
+	return val, status, err
+}
+
+// scenarioKind is what a scenario declares, which decides the endpoint
+// that solves it.
+type scenarioKind int
+
+const (
+	staticKind  scenarioKind = iota // a 1-D sweep: /v1/runs, /v1/batch list mode
+	gridKind                        // a 2-D grid: /v1/batch grid mode, /v1/query
+	dynamicKind                     // a dynamics simulation: /v1/simulate
+)
+
+// kindRoutes points a client at the endpoint for each scenario kind.
+var kindRoutes = [...]string{
+	staticKind:  "declares a 1-D sweep; run it via POST /v1/runs or the \"scenarios\" list of POST /v1/batch",
+	gridKind:    "is a 2-D grid; run it via POST /v1/batch with the \"grid\" field",
+	dynamicKind: "is a dynamics simulation; stream it via POST /v1/simulate",
+}
+
+// resolveScenario materializes the scenario a request names (name) or
+// inlines (raw), exactly one of which must be set, and checks that it is
+// of kind want. On failure the int is the HTTP status to answer with.
+// Named scenarios come from the read-only registry snapshot.
+func (s *Server) resolveScenario(name string, raw json.RawMessage, want scenarioKind) (*scenario.Scenario, int, error) {
+	if (name == "") == (len(raw) == 0) {
+		field := "scenario"
+		if want == gridKind {
+			field = "grid"
+		}
+		return nil, http.StatusBadRequest, fmt.Errorf("give exactly one of %q (a registered name) or \"%s_json\" (an inline definition)", field, field)
 	}
-	if s.trace {
-		resp.Trace = trace
+	sc, ok := s.scenarios[name]
+	if name == "" {
+		var err error
+		if sc, err = scenario.Load(bytes.NewReader(raw)); err != nil {
+			return nil, http.StatusBadRequest, err
+		}
+	} else if !ok {
+		return nil, http.StatusNotFound, fmt.Errorf("unknown scenario %q", name)
 	}
-	writeJSON(w, http.StatusOK, resp)
+	kind := staticKind
+	if sc.IsDynamic() {
+		kind = dynamicKind
+	} else if sc.IsGrid() {
+		kind = gridKind
+	}
+	if kind != want {
+		return nil, http.StatusBadRequest, fmt.Errorf("scenario %q %s", sc.Name, kindRoutes[kind])
+	}
+	return sc, 0, nil
+}
+
+// runKey is the content address of a 1-D scenario's run result: the
+// canonical scenario bytes, however they arrived, so a named scenario and
+// its identical inline copy share one cache entry. A registered name uses
+// the key precomputed at startup, so warm hits never re-serialize.
+func (s *Server) runKey(name string, sc *scenario.Scenario) (string, error) {
+	if key, ok := s.scenarioKeys[name]; ok {
+		return key, nil
+	}
+	return scenarioKey("run/scenario/v1", sc)
+}
+
+// scenarioKey hashes a scenario's canonical JSON under a key namespace.
+func scenarioKey(namespace string, sc *scenario.Scenario) (string, error) {
+	canon, err := sc.CanonicalJSON()
+	if err != nil {
+		return "", fmt.Errorf("serializing scenario: %v", err)
+	}
+	return cache.Key(namespace, json.RawMessage(canon))
+}
+
+// workers resolves a request's execution-only parallelism override.
+func (s *Server) workers(n int) int {
+	if n <= 0 {
+		return s.solveWorkers
+	}
+	return n
 }
 
 // shortKey abbreviates a cache key for logs and events: enough hex to
