@@ -1,6 +1,7 @@
 // Benchmark harness: one benchmark per figure of the paper's evaluation
 // (Figures 2–5 and 7–12), the headline regime comparison, the ablation
-// studies from DESIGN.md, and micro-benchmarks of the core solvers.
+// studies (see the figure → code map in README.md), and micro-benchmarks
+// of the core solvers.
 //
 // The figure benchmarks regenerate the full published configuration
 // (1000-CP ensemble, full grids) per iteration; they are experiment
@@ -11,7 +12,8 @@
 // Each figure benchmark reports a headline scalar from the regenerated
 // data (peak revenue, surplus level, crossover price …) via ReportMetric so
 // regressions in the *economics*, not just the runtime, are visible in
-// benchmark diffs. EXPERIMENTS.md records the paper-vs-measured comparison.
+// benchmark diffs. Each experiment's Expect field records the shape the
+// paper reports, for the paper-vs-measured comparison.
 package publicoption_test
 
 import (

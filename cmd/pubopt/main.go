@@ -213,7 +213,7 @@ func runCmd(args []string) error {
 			return fmt.Errorf("unknown experiment %q", id)
 		}
 		start := time.Now()
-		tables := e.Run(cfg)
+		tables := e.Run(cfg, nil)
 		fmt.Printf("== %s: %s (%.1fs)\n", e.ID, e.Title, time.Since(start).Seconds())
 		fmt.Printf("   paper: %s\n\n", e.Expect)
 		for ti, tbl := range tables {

@@ -21,7 +21,8 @@ type ResultTable = sweep.Table
 type ResultSeries = sweep.Series
 
 // Experiments lists every registered experiment: the paper's Figures 2–5
-// and 7–12 plus the ablations from DESIGN.md, in display order.
+// and 7–12 plus the ablations (see README.md's figure map), in display
+// order.
 func Experiments() []*FigureExperiment { return experiment.All() }
 
 // Experiment looks up a registered experiment by ID (e.g. "fig4").

@@ -97,7 +97,7 @@ func TestIntegrationWelfareConservation(t *testing.T) {
 }
 
 // Scenario: determinism end to end — the full published pipeline reproduces
-// itself exactly, which is what makes EXPERIMENTS.md checkable.
+// itself exactly, which is what makes the reproduced figures checkable.
 func TestIntegrationDeterminism(t *testing.T) {
 	run := func() (float64, float64) {
 		pop := publicoption.PaperPopulation(publicoption.PhiCorrelated)

@@ -99,21 +99,6 @@ func (m *Monopoly) RevenueCurve(kappa float64, cGrid []float64, nu float64, pop 
 	return psi, phi
 }
 
-// CapacityCurve samples Ψ and Φ across a per-capita capacity grid at fixed
-// strategy (the Figure 5 object).
-func (m *Monopoly) CapacityCurve(s Strategy, nuGrid []float64, pop traffic.Population) (psi, phi []float64) {
-	psi = make([]float64, len(nuGrid))
-	phi = make([]float64, len(nuGrid))
-	m.ResetWarm()
-	for i, nu := range nuGrid {
-		eq := m.Outcome(s, nu, pop)
-		psi[i] = eq.Psi()
-		phi[i] = eq.Phi()
-	}
-	m.ResetWarm()
-	return psi, phi
-}
-
 // CheckTheorem4 verifies the dominance claim of Theorem 4 on a price grid:
 // for every price c, revenue under (κ, c) must not exceed revenue under
 // (1, c) beyond tolerance. It returns the worst observed violation (a

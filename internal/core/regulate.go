@@ -215,18 +215,6 @@ func CheckHeadlineRanking(order []Regime) error {
 	return nil
 }
 
-// RegimeSweep evaluates CompareRegimes across capacities, returning one
-// Φ series per regime (the object behind the "regimes" experiment).
-func RegimeSweep(solver *Solver, nus []float64, pop traffic.Population, cfg RegimeConfig) map[Regime][]float64 {
-	out := make(map[Regime][]float64)
-	for _, nu := range nus {
-		for _, oc := range CompareRegimes(solver, nu, pop, cfg) {
-			out[oc.Regime] = append(out[oc.Regime], oc.Phi)
-		}
-	}
-	return out
-}
-
 // Ensure numeric is linked for the package's solvers even when only
 // regulate.go is exercised (grid search uses it indirectly).
 var _ = numeric.DefaultTol

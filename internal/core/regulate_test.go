@@ -92,7 +92,12 @@ func TestRegimeSweepSeriesAligned(t *testing.T) {
 	cfg := RegimeConfig{GridN: 8,
 		POGrid: &StrategyGrid{Kappas: []float64{0, 1}, Cs: []float64{0, 0.4, 0.8}}}
 	nus := []float64{0.4 * sat, 0.8 * sat}
-	series := RegimeSweep(nil, nus, pop, cfg)
+	series := make(map[Regime][]float64)
+	for _, nu := range nus {
+		for _, oc := range CompareRegimes(nil, nu, pop, cfg) {
+			series[oc.Regime] = append(series[oc.Regime], oc.Phi)
+		}
+	}
 	if len(series) != 5 {
 		t.Fatalf("got %d regimes, want 5", len(series))
 	}

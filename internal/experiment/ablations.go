@@ -8,7 +8,8 @@ import (
 	"github.com/netecon-sim/publicoption/internal/econ"
 	"github.com/netecon-sim/publicoption/internal/mm1"
 	"github.com/netecon-sim/publicoption/internal/netsim"
-	"github.com/netecon-sim/publicoption/internal/numeric"
+	"github.com/netecon-sim/publicoption/internal/obs"
+	"github.com/netecon-sim/publicoption/internal/scenario"
 	"github.com/netecon-sim/publicoption/internal/sweep"
 	"github.com/netecon-sim/publicoption/internal/traffic"
 )
@@ -61,7 +62,7 @@ func init() {
 	})
 }
 
-func runAblationAlphaFair(cfg Config) []*sweep.Table {
+func runAblationAlphaFair(cfg Config, _ *obs.Counters) []*sweep.Table {
 	pop := traffic.Archetypes()
 	nus := cfg.grid(50, 6000, 60, 20)
 	mechs := []alloc.Allocator{
@@ -92,7 +93,7 @@ func runAblationAlphaFair(cfg Config) []*sweep.Table {
 	return []*sweep.Table{phiTbl, thetaTbl}
 }
 
-func runAblationTCP(cfg Config) []*sweep.Table {
+func runAblationTCP(cfg Config, _ *obs.Counters) []*sweep.Table {
 	counts := []int{2, 5, 10, 20, 40}
 	if cfg.Fast {
 		counts = []int{2, 5, 10}
@@ -160,8 +161,8 @@ func runAblationTCP(cfg Config) []*sweep.Table {
 	return []*sweep.Table{fairTbl, loopTbl}
 }
 
-func runAblationMM1(cfg Config) []*sweep.Table {
-	pop := cfg.population(traffic.PhiCorrelated)
+func runAblationMM1(cfg Config, stats *obs.Counters) []*sweep.Table {
+	pop := materialize(cfg.population(""))
 	sat := pop.TotalUnconstrainedPerCapita()
 	nus := cfg.grid(0.02*sat, 1.2*sat, 40, 15)
 	utilTbl := &sweep.Table{
@@ -187,6 +188,7 @@ func runAblationMM1(cfg Config) []*sweep.Table {
 	prices := cfg.grid(0, 1, 41, 11)
 	mono := core.NewMonopoly(nil)
 	psi, _ := mono.RevenueCurve(1, prices, nu, pop)
+	stats.Add(mono.Solver.Stats())
 	s := sweep.Series{Name: "maxmin"}
 	for i := range prices {
 		s.Append(prices[i], psi[i])
@@ -201,10 +203,8 @@ func runAblationMM1(cfg Config) []*sweep.Table {
 	return []*sweep.Table{utilTbl, revTbl}
 }
 
-func runAblationNash(cfg Config) []*sweep.Table {
-	ecfg := traffic.PaperEnsemble(traffic.PhiCorrelated)
-	ecfg.N = 12
-	pop := ecfg.Generate(numeric.NewRNG(cfg.seed()))
+func runAblationNash(cfg Config, stats *obs.Counters) []*sweep.Table {
+	pop := materialize(scenario.PopulationSpec{Kind: "ensemble", N: 12, Seed: cfg.Seed})
 	sat := pop.TotalUnconstrainedPerCapita()
 	nu := 0.35 * sat
 	prices := cfg.grid(0, 1, 21, 11)
@@ -230,6 +230,7 @@ func runAblationNash(cfg Config) []*sweep.Table {
 		nashPhi.Append(c, nash.Phi())
 		compPhi.Append(c, comp.Phi())
 	}
+	stats.Add(solver.Stats())
 	countTbl.Add(nashCount)
 	countTbl.Add(compCount)
 	phiTbl.Add(nashPhi)
@@ -237,47 +238,60 @@ func runAblationNash(cfg Config) []*sweep.Table {
 	return []*sweep.Table{countTbl, phiTbl}
 }
 
-func runAblationPubOptCapacity(cfg Config) []*sweep.Table {
-	pop := cfg.population(traffic.PhiCorrelated)
-	sat := pop.TotalUnconstrainedPerCapita()
-	// Run where the monopoly misalignment bites (cf. the regimes
-	// experiment): abundant enough that an unregulated incumbent would
-	// under-utilize capacity.
-	nuBar := 0.7 * sat
+// runAblationPubOptCapacity sweeps the Public Option's capacity share γ at
+// ν = 0.7 of saturation — where the monopoly misalignment bites (cf. the
+// regimes experiment): abundant enough that an unregulated incumbent would
+// under-utilize capacity — with the incumbent best-responding for market
+// share. The reference line is the revenue-optimal monopoly's Φ on the
+// full capacity (no Public Option).
+func runAblationPubOptCapacity(cfg Config, stats *obs.Counters) []*sweep.Table {
 	gammas := []float64{0.05, 0.1, 0.2, 0.3, 0.4, 0.5}
 	if cfg.Fast {
 		gammas = []float64{0.1, 0.3, 0.5}
 	}
-	grid := core.StrategyGrid{
-		Kappas: []float64{0, 0.5, 1},
-		Cs:     numeric.Linspace(0, 1, 11),
+	sc := &scenario.Scenario{
+		Name: "ablation-pubopt-capacity", Title: "ablation-pubopt-capacity",
+		Population: cfg.population(""),
+		Providers: []scenario.ProviderSpec{
+			{Name: "incumbent", Gamma: 0.5, Kappa: 1, C: 0.5, BestResponse: true},
+			{Name: "po", Gamma: 0.5, PublicOption: true},
+		},
+		Sweep: scenario.SweepSpec{
+			Axis: scenario.AxisPOShare, Values: gammas, Nu: 0.7, OfSaturation: true,
+			Metrics: []string{scenario.MetricPhi, scenario.MetricShare},
+		},
+	}
+	tables, err := sc.Run(scenario.RunOptions{Workers: cfg.Workers, Stats: stats})
+	if err != nil {
+		panic("experiment: " + err.Error())
+	}
+	phiS, shareS := tables[0].Series[0], tables[1].Series[1]
+	phiS.Name, shareS.Name = "phi-with-po", "po-share"
+
+	pop := materialize(sc.Population)
+	mono := core.NewMonopoly(nil)
+	_, eqMono := mono.OptimalStrategy(1, 0.7*pop.TotalUnconstrainedPerCapita(), pop, 4, 10)
+	stats.Add(mono.Solver.Stats())
+	phiMono := sweep.Series{Name: "phi-monopoly-optimal"}
+	for _, g := range gammas {
+		phiMono.Append(g, eqMono.Phi())
 	}
 	tbl := &sweep.Table{
 		Title:  "Public Option capacity sweep: incumbent best-responds for market share",
 		XLabel: "gamma-po", YLabel: "value",
 	}
-	phiS := sweep.Series{Name: "phi-with-po"}
-	phiMono := sweep.Series{Name: "phi-monopoly-optimal"}
-	shareS := sweep.Series{Name: "po-share"}
-
-	// Monopoly reference: the revenue-optimal strategy's Φ on the full
-	// capacity (no Public Option).
-	mono := core.NewMonopoly(nil)
-	_, eqMono := mono.OptimalStrategy(1, nuBar, pop, 4, 10)
-	for _, g := range gammas {
-		mk := core.NewMarket(nil, pop, nuBar)
-		mk.MigrationTol = 1e-6
-		isps := []core.ISP{
-			{Name: "incumbent", Gamma: 1 - g, Strategy: core.Strategy{Kappa: 1, C: 0.5}},
-			{Name: "po", Gamma: g, Strategy: core.PublicOption},
-		}
-		_, out, _ := mk.BestResponse(isps, 0, grid)
-		phiS.Append(g, out.Phi)
-		shareS.Append(g, out.Shares[1])
-		phiMono.Append(g, eqMono.Phi())
-	}
 	tbl.Add(phiS)
 	tbl.Add(phiMono)
 	tbl.Add(shareS)
 	return []*sweep.Table{tbl}
+}
+
+// materialize builds a declared population; the declarations here are
+// fixed and valid, so failure is a programming error.
+func materialize(spec scenario.PopulationSpec) traffic.Population {
+	pop, err := spec.Materialize()
+	if err != nil {
+		panic("experiment: " + err.Error())
+	}
+	return pop
 }

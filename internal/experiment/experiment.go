@@ -1,8 +1,11 @@
 // Package experiment defines the reproduction of every figure in the
 // paper's evaluation (Figures 2–5 and 7–12; Figures 1 and 6 are schematic
-// diagrams) plus the ablation studies called out in DESIGN.md. Each
-// experiment declares its workload and parameters and emits sweep tables —
-// the same series the paper plots — renderable as ASCII charts or CSV.
+// diagrams) plus the ablation studies listed in README.md's figure map.
+// Each experiment declares its workload and parameters and emits sweep
+// tables — the same series the paper plots — renderable as ASCII charts or
+// CSV. The market figures (4, 5, 7–12), the regime comparison and the
+// Public Option capacity ablation are scenario specs solved by
+// internal/scenario; the rest stay code because they solve no market.
 //
 // Experiments are deterministic: the same Config produces identical output.
 // Config.Fast switches to reduced grids and smaller CP ensembles so the
@@ -16,8 +19,9 @@ import (
 	"sort"
 
 	"github.com/netecon-sim/publicoption/internal/numeric"
+	"github.com/netecon-sim/publicoption/internal/obs"
+	"github.com/netecon-sim/publicoption/internal/scenario"
 	"github.com/netecon-sim/publicoption/internal/sweep"
-	"github.com/netecon-sim/publicoption/internal/traffic"
 )
 
 // Config controls an experiment run.
@@ -31,54 +35,40 @@ type Config struct {
 	// Fast selects reduced grids for use in tests. Shapes are preserved;
 	// resolution is not.
 	Fast bool
-	// Workers bounds the parallelism across independent curves. 0 means
-	// GOMAXPROCS.
+	// Workers bounds the parallelism across grid rows and independent
+	// curves. 0 means GOMAXPROCS. It never changes the output.
 	Workers int
 }
 
-func (c Config) seed() uint64 {
-	if c.Seed == 0 {
-		return traffic.DefaultSeed
+// population declares the experiment's CP population under the given φ
+// setting ("" for correlated, "independent" for the appendix figures): the
+// published 1000-CP ensemble at the default config, otherwise the paper
+// ensemble re-seeded to Seed and re-sized to CPs (120 in fast mode).
+// Declaring it draws nothing.
+func (c Config) population(phi string) scenario.PopulationSpec {
+	n := 0
+	switch {
+	case c.CPs > 0:
+		n = c.CPs
+	case c.Fast:
+		n = 120
 	}
-	return c.Seed
+	p := scenario.PopulationSpec{Kind: "paper", Phi: phi}
+	_ = p.ApplyEnsembleOverrides(c.Seed, n) // cannot fail: "paper" takes any seed and n >= 0
+	return p
 }
 
-func (c Config) cps() int {
-	if c.CPs > 0 {
-		return c.CPs
-	}
+// points returns n, or nFast in fast mode.
+func (c Config) points(n, nFast int) int {
 	if c.Fast {
-		return 120
+		return nFast
 	}
-	return 1000
+	return n
 }
 
-// population draws the experiment ensemble under the given φ setting.
-func (c Config) population(phi traffic.PhiSetting) traffic.Population {
-	if c.seed() == traffic.DefaultSeed && c.cps() == 1000 {
-		return traffic.PaperPopulation(phi)
-	}
-	cfg := traffic.PaperEnsemble(phi)
-	cfg.N = c.cps()
-	pop := cfg.Generate(numeric.NewRNG(c.seed()))
-	if phi == traffic.PhiIndependent {
-		// Match PaperPopulation's convention: same characteristics, φ
-		// redrawn independently.
-		phiRNG := numeric.NewRNG(c.seed() + 1)
-		for i := range pop {
-			pop[i].Phi = phiRNG.Uniform(0, phiRNG.Uniform(0, 10))
-		}
-	}
-	return pop
-}
-
-// grid returns n evenly spaced points on [lo, hi], or nFast points in fast
-// mode.
+// grid returns c.points(n, nFast) evenly spaced points on [lo, hi].
 func (c Config) grid(lo, hi float64, n, nFast int) []float64 {
-	if c.Fast {
-		n = nFast
-	}
-	return numeric.Linspace(lo, hi, n)
+	return numeric.Linspace(lo, hi, c.points(n, nFast))
 }
 
 // Experiment is one reproducible figure or ablation.
@@ -88,10 +78,11 @@ type Experiment struct {
 	// Title is the paper's caption (or the ablation's description).
 	Title string
 	// Expect describes the qualitative shape the paper reports, recorded so
-	// EXPERIMENTS.md comparisons are self-contained.
+	// paper-vs-measured comparisons are self-contained.
 	Expect string
-	// Run executes the experiment and returns its tables.
-	Run func(cfg Config) []*sweep.Table
+	// Run executes the experiment and returns its tables. stats, when
+	// non-nil, receives the run's solver telemetry.
+	Run func(cfg Config, stats *obs.Counters) []*sweep.Table
 }
 
 var registry []*Experiment
@@ -151,5 +142,5 @@ func MustRun(id string, cfg Config) []*sweep.Table {
 	if !ok {
 		panic("experiment: unknown id " + id)
 	}
-	return e.Run(cfg)
+	return e.Run(cfg, nil)
 }

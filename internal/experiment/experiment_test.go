@@ -2,11 +2,14 @@ package experiment
 
 import (
 	"bytes"
+	"fmt"
 	"math"
+	"reflect"
 	"testing"
 
 	"github.com/netecon-sim/publicoption/internal/numeric"
 	"github.com/netecon-sim/publicoption/internal/sweep"
+	"github.com/netecon-sim/publicoption/internal/traffic"
 )
 
 var fast = Config{Fast: true}
@@ -300,32 +303,63 @@ func TestAblationMM1Headroom(t *testing.T) {
 }
 
 func TestConfigDefaults(t *testing.T) {
-	var cfg Config
-	if cfg.seed() == 0 {
+	size := func(cfg Config) int { return len(materialize(cfg.population(""))) }
+	if n := size(Config{}); n != 1000 {
+		t.Errorf("default ensemble size %d, want 1000", n)
+	}
+	if n := size(Config{Fast: true}); n != 120 {
+		t.Errorf("fast ensemble size %d, want 120", n)
+	}
+	if n := size(Config{Fast: true, CPs: 60}); n != 60 {
+		t.Errorf("explicit ensemble size %d, want 60", n)
+	}
+	// Seed 0 is the repository seed: spelling it out draws the same
+	// (published) population.
+	def := materialize(Config{}.population(""))
+	explicit := materialize(Config{Seed: traffic.DefaultSeed}.population(""))
+	if !reflect.DeepEqual(def, explicit) {
 		t.Error("default seed must be the repository seed")
-	}
-	if cfg.cps() != 1000 {
-		t.Errorf("default ensemble size %d, want 1000", cfg.cps())
-	}
-	fastCfg := Config{Fast: true}
-	if fastCfg.cps() != 120 {
-		t.Errorf("fast ensemble size %d, want 120", fastCfg.cps())
 	}
 	if n := len(Config{Fast: true}.grid(0, 1, 100, 10)); n != 10 {
 		t.Errorf("fast grid size %d, want 10", n)
 	}
 }
 
-func TestDeterminism(t *testing.T) {
-	a := MustRun("fig4", fast)
-	b := MustRun("fig4", fast)
+// sameTables reports the first bit-level difference between two runs.
+func sameTables(t *testing.T, what string, a, b []*sweep.Table) {
+	t.Helper()
 	for ti := range a {
 		for si := range a[ti].Series {
-			for i := range a[ti].Series[si].Y {
-				if a[ti].Series[si].Y[i] != b[ti].Series[si].Y[i] {
-					t.Fatalf("fig4 not deterministic at table %d series %d point %d", ti, si, i)
+			for i, y := range a[ti].Series[si].Y {
+				if math.Float64bits(y) != math.Float64bits(b[ti].Series[si].Y[i]) {
+					t.Fatalf("%s differs at table %d series %d point %d: %.17g vs %.17g",
+						what, ti, si, i, y, b[ti].Series[si].Y[i])
 				}
 			}
+		}
+	}
+}
+
+func TestDeterminism(t *testing.T) {
+	sameTables(t, "fig4 rerun", MustRun("fig4", fast), MustRun("fig4", fast))
+	// Grid rows never share warm state, so the worker count cannot change
+	// a single bit. The capacity ablation is a 1-D sweep whose chunks do
+	// share warm state; its best responses must still be exact.
+	for _, id := range []string{"fig7", "fig8", "ablation-pubopt-capacity"} {
+		one := MustRun(id, Config{Fast: true, Workers: 1})
+		four := MustRun(id, Config{Fast: true, Workers: 4})
+		sameTables(t, id+" at 1 vs 4 workers", one, four)
+	}
+}
+
+// TestAppendixSharesCPCharacteristics: the appendix figures redraw only φ,
+// which weighs consumer surplus but not CP decisions, so their Ψ tables
+// equal the main figures' bit for bit under any ensemble.
+func TestAppendixSharesCPCharacteristics(t *testing.T) {
+	for _, cfg := range []Config{{Fast: true}, {CPs: 60, Seed: 3, Fast: true}} {
+		for _, pair := range [][2]string{{"fig4", "fig9"}, {"fig5", "fig10"}} {
+			main, appendix := MustRun(pair[0], cfg), MustRun(pair[1], cfg)
+			sameTables(t, fmt.Sprintf("%s vs %s Ψ (%+v)", pair[0], pair[1], cfg), main[:1], appendix[:1])
 		}
 	}
 }

@@ -18,8 +18,8 @@ import (
 //
 // Cells are independent across rows; within a row they share warm-start
 // state (each cell seeds the next along the column axis). The intended
-// execution shape is therefore: one GridWorker per OS worker, rows
-// distributed by work stealing (sweep.RunRows), columns sequential.
+// execution shape is therefore: rows distributed by work stealing
+// (sweep.RunRows), columns sequential through one GridWorker.
 type GridJob struct {
 	// Xs are the resolved column-axis values (absolute ν for a "nu" axis,
 	// never fractions of saturation), Ys the resolved row-axis values.
@@ -164,7 +164,7 @@ func (j *GridJob) NewWorker() *GridWorker { return &GridWorker{job: j} }
 // Stats returns the worker's cumulative solver telemetry (zero before the
 // first SolveCell builds the market). Workers are single-goroutine; callers
 // aggregating across workers publish each worker's stats to an obs.Counters
-// sink after the sweep drains.
+// sink once the worker is done.
 func (w *GridWorker) Stats() obs.SolveStats {
 	if w.mk == nil {
 		return obs.SolveStats{}
@@ -233,39 +233,28 @@ func (j *GridJob) cellValues(pt point) map[string]float64 {
 }
 
 // RunGrid validates and solves a 2-D grid scenario: rows are distributed
-// across workers by work stealing (sweep.RunRows), each worker reuses one
-// warm-started solver for every row it claims, and cells within a row
-// warm-start each other along the column axis. The result is one grid with
-// one layer per recorded metric (per metric and provider for per-provider
-// metrics).
+// across workers by work stealing (sweep.RunRows), each row gets a fresh
+// warm-started GridWorker, and cells within a row warm-start each other
+// along the column axis. Warm starts never cross rows, so every cell is the
+// same computation whichever worker claims its row: the grid is
+// bit-identical across worker counts and reruns. The result is one grid
+// with one layer per recorded metric (per metric and provider for
+// per-provider metrics).
 func (s *Scenario) RunGrid(opt RunOptions) (*sweep.Grid, error) {
 	job, err := s.CompileGrid()
 	if err != nil {
 		return nil, err
 	}
 	g := job.NewGrid()
-	workers := opt.workers()
-	if workers > len(job.Ys) {
-		workers = len(job.Ys)
-	}
-	state := make([]*GridWorker, workers)
-	sweep.RunRows(workers, len(job.Ys), func(worker, row int) {
-		if state[worker] == nil {
-			state[worker] = job.NewWorker()
-		}
+	sweep.RunRows(opt.workers(), len(job.Ys), func(_, row int) {
+		w := job.NewWorker()
 		for col := range job.Xs {
-			cell := state[worker].SolveCell(row, col)
+			cell := w.SolveCell(row, col)
 			for li, name := range job.Layers {
 				g.Layers[li].Z[row][col] = cell.Values[name]
 			}
 		}
+		opt.Stats.Add(w.Stats())
 	})
-	if opt.Stats != nil {
-		for _, w := range state {
-			if w != nil {
-				opt.Stats.Add(w.Stats())
-			}
-		}
-	}
 	return g, nil
 }

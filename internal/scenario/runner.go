@@ -18,7 +18,7 @@ type RunOptions struct {
 	// population batches depending on the scenario). 0 means GOMAXPROCS.
 	Workers int
 	// Stats, when non-nil, receives each task solver's telemetry as tasks
-	// finish (one atomic publish per chunk/curve/row-worker, never per
+	// finish (one atomic publish per chunk/curve/grid row, never per
 	// solve). Batched large-N scenarios run the water-fill instead of the
 	// equilibrium kernels and publish nothing.
 	Stats *obs.Counters

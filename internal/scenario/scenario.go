@@ -761,23 +761,37 @@ func (s *Scenario) ApplyEnsembleOverrides(seed uint64, n int) error {
 	if seed == 0 && n == 0 {
 		return nil
 	}
-	switch s.Population.Kind {
+	if err := s.Population.ApplyEnsembleOverrides(seed, n); err != nil {
+		return fmt.Errorf("scenario %q: %w", s.Name, err)
+	}
+	return s.Validate()
+}
+
+// ApplyEnsembleOverrides is the population half of
+// Scenario.ApplyEnsembleOverrides: it re-seeds (seed != 0) or re-sizes
+// (n != 0) a "paper" or "ensemble" population in place, switching "paper"
+// to "ensemble".
+func (p *PopulationSpec) ApplyEnsembleOverrides(seed uint64, n int) error {
+	if seed == 0 && n == 0 {
+		return nil
+	}
+	switch p.Kind {
 	case "paper":
-		s.Population.Kind = "ensemble"
+		p.Kind = "ensemble"
 	case "ensemble":
 	default:
-		return fmt.Errorf("scenario %q: population kind %q has no ensemble seed or size to override", s.Name, s.Population.Kind)
+		return fmt.Errorf("population kind %q has no ensemble seed or size to override", p.Kind)
 	}
 	if seed != 0 {
-		s.Population.Seed = seed
+		p.Seed = seed
 	}
 	if n != 0 {
 		if n < 0 {
-			return fmt.Errorf("scenario %q: ensemble size override %d is negative", s.Name, n)
+			return fmt.Errorf("ensemble size override %d is negative", n)
 		}
-		s.Population.N = n
+		p.N = n
 	}
-	return s.Validate()
+	return nil
 }
 
 // Load parses a scenario from JSON and validates it.

@@ -188,6 +188,26 @@ func TestFlightRecorder(t *testing.T) {
 	}
 }
 
+// TestExperimentRunTelemetry: a figure run is a real solve, so its
+// flight-recorder event and the solver counters carry its solver work.
+func TestExperimentRunTelemetry(t *testing.T) {
+	s := New(Options{FlightEvents: 4})
+	if w := do(t, s, "POST", "/v1/experiments/fig4/run", `{"fast": true}`); w.Code != http.StatusOK {
+		t.Fatalf("status %d: %s", w.Code, w.Body)
+	}
+	er := decode[eventsResponse](t, do(t, s, "GET", "/debug/events", ""))
+	if len(er.Events) != 1 {
+		t.Fatalf("recorded %d events, want 1", len(er.Events))
+	}
+	ev := er.Events[0]
+	if ev.Kind != "experiment" || ev.Name != "fig4" || ev.Solver.Solves == 0 {
+		t.Fatalf("event = %+v, want a fig4 experiment event with solver work", ev)
+	}
+	if got := s.counters.Snapshot().Solves; got != ev.Solver.Solves {
+		t.Fatalf("solver counters recorded %d solves, event %d", got, ev.Solver.Solves)
+	}
+}
+
 // TestFlightRecorderDisabled: negative FlightEvents turns the recorder off;
 // /debug/events still answers, reporting zero capacity.
 func TestFlightRecorderDisabled(t *testing.T) {

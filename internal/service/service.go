@@ -128,7 +128,7 @@ type Server struct {
 	// Runner indirection, overridable in tests to count or stub solves.
 	// stats receives the run's solver telemetry (nil-safe).
 	runScenario   func(s *scenario.Scenario, workers int, stats *obs.Counters) ([]*sweep.Table, error)
-	runExperiment func(e *experiment.Experiment, cfg experiment.Config) ([]*sweep.Table, error)
+	runExperiment func(e *experiment.Experiment, cfg experiment.Config, stats *obs.Counters) ([]*sweep.Table, error)
 }
 
 // New builds a Server with its cache, worker pool and routes.
@@ -168,8 +168,8 @@ func New(opts Options) *Server {
 		runScenario: func(sc *scenario.Scenario, workers int, stats *obs.Counters) ([]*sweep.Table, error) {
 			return sc.Run(scenario.RunOptions{Workers: workers, Stats: stats})
 		},
-		runExperiment: func(e *experiment.Experiment, cfg experiment.Config) ([]*sweep.Table, error) {
-			return e.Run(cfg), nil
+		runExperiment: func(e *experiment.Experiment, cfg experiment.Config, stats *obs.Counters) ([]*sweep.Table, error) {
+			return e.Run(cfg, stats), nil
 		},
 		scenarios:    make(map[string]*scenario.Scenario),
 		scenarioKeys: make(map[string]string),
@@ -447,10 +447,8 @@ func (s *Server) handleExperimentRun(w http.ResponseWriter, r *http.Request) {
 
 	workers := s.workers(req.Workers)
 	cfg := experiment.Config{Fast: req.Fast, Seed: req.Seed, CPs: req.CPs, Workers: workers}
-	// Experiments drive their own runner internals (experiment.Config has no
-	// stats plumbing), so their events carry zero solver telemetry.
 	s.respondRun(w, r, "experiment", e.ID, key, func(stats *obs.Counters) (any, error) {
-		tables, err := s.runExperiment(e, cfg)
+		tables, err := s.runExperiment(e, cfg, stats)
 		if err != nil {
 			return nil, err
 		}

@@ -298,7 +298,7 @@ func TestExperimentRun(t *testing.T) {
 	s := New(Options{})
 	var calls atomic.Int64
 	var gotCfg experiment.Config
-	s.runExperiment = func(e *experiment.Experiment, cfg experiment.Config) ([]*sweep.Table, error) {
+	s.runExperiment = func(e *experiment.Experiment, cfg experiment.Config, _ *obs.Counters) ([]*sweep.Table, error) {
 		calls.Add(1)
 		gotCfg = cfg
 		return stubTables(), nil

@@ -18,8 +18,9 @@
 //
 // This root package is the stable public surface: it re-exports the model
 // types and entry points from the internal packages. The cmd/pubopt tool
-// regenerates every figure of the paper's evaluation; see DESIGN.md for the
-// experiment inventory and EXPERIMENTS.md for paper-vs-measured results.
+// regenerates every figure of the paper's evaluation; README.md maps each
+// figure to its experiment, and each experiment records the shape the
+// paper reports.
 //
 // # Quick start
 //
