@@ -20,7 +20,7 @@ import (
 // A Solver owns warm-started alloc.Workspace kernels (one per class, one
 // for post-join verification) plus the split/join scratch buffers of the
 // competitive dynamics, so repeated solves — price grids, capacity sweeps,
-// migration bisections — run without per-iteration allocation. It is not
+// migration searches — run without per-iteration allocation. It is not
 // safe for concurrent use; sweeps create one Solver per worker.
 type Solver struct {
 	Alloc   alloc.Allocator
@@ -37,11 +37,14 @@ type Solver struct {
 	// premium levels evolve separately along the dynamics) and one for
 	// post-join counterfactuals.
 	wsO, wsP, wsJoin *alloc.Workspace
-	// Scratch: class partitions, the members∪{cp} join buffer, and the
-	// visited-partition set of the cycle detector.
+	// Scratch: class partitions, the members∪{cp} join buffer, the
+	// visited-partition set of the cycle detector, the screened movers,
+	// and the equilibrium probe solves into.
 	ordBuf, premBuf traffic.Population
 	joinBuf         traffic.Population
 	seen            partitionSet
+	movers          []mover
+	probeEq         ClassEquilibrium
 	// cycles counts partition-cycle restarts across the solver's lifetime:
 	// phase-1 mover-cap halvings and phase-2 indifference-band widenings.
 	// Surfaced through Stats alongside the kernels' counters.
@@ -352,6 +355,34 @@ func (s *Solver) Competitive(strategy Strategy, nu float64, pop traffic.Populati
 // cuts the iteration count to a handful, since partitions move slowly along
 // sweeps.
 func (s *Solver) CompetitiveFrom(strategy Strategy, nu float64, pop traffic.Population, warm []bool) *ClassEquilibrium {
+	eq := &ClassEquilibrium{InPremium: make([]bool, len(pop)), Theta: make([]float64, len(pop))}
+	s.competitive(eq, strategy, nu, pop, warm, true)
+	return eq
+}
+
+// probe is CompetitiveFrom for a caller that reads the equilibrium at once
+// and keeps nothing, such as one step of the migration search. It solves
+// into the solver's scratch equilibrium, and the class results alias the
+// kernels instead of being cloned. The returned equilibrium is valid until
+// the solver's next solve; the sequence of kernel solves, and so every
+// number, is the same as CompetitiveFrom's.
+func (s *Solver) probe(strategy Strategy, nu float64, pop traffic.Population, warm []bool) *ClassEquilibrium {
+	eq := &s.probeEq
+	if cap(eq.InPremium) < len(pop) {
+		eq.InPremium = make([]bool, len(pop))
+		eq.Theta = make([]float64, len(pop))
+	}
+	eq.InPremium = eq.InPremium[:len(pop)]
+	eq.Theta = eq.Theta[:len(pop)]
+	clear(eq.InPremium)
+	s.competitive(eq, strategy, nu, pop, warm, false)
+	return eq
+}
+
+// competitive runs the class game into eq, whose InPremium and Theta have
+// len(pop) entries and InPremium is all false. retain clones the class
+// results out of the kernels (see finalize).
+func (s *Solver) competitive(eq *ClassEquilibrium, strategy Strategy, nu float64, pop traffic.Population, warm []bool, retain bool) {
 	if err := strategy.Validate(); err != nil {
 		panic(err)
 	}
@@ -359,23 +390,17 @@ func (s *Solver) CompetitiveFrom(strategy Strategy, nu float64, pop traffic.Popu
 		panic(fmt.Sprintf("core: Competitive called with ν=%g", nu))
 	}
 	s.kernels()
-	eq := &ClassEquilibrium{
-		Strategy:  strategy,
-		Nu:        nu,
-		Pop:       pop,
-		InPremium: make([]bool, len(pop)),
-		Theta:     make([]float64, len(pop)),
-		Converged: true,
-	}
+	eq.Strategy, eq.Nu, eq.Pop = strategy, nu, pop
+	eq.Converged, eq.Iterations, eq.EpsUsed = true, 0, 0
 	if len(pop) == 0 {
 		eq.Ordinary = alloc.Solve(s.Alloc, (1-strategy.Kappa)*nu, nil)
 		eq.Premium = alloc.Solve(s.Alloc, strategy.Kappa*nu, nil)
-		return eq
+		return
 	}
 	// κ = 0: no premium class exists; the trivial profile (N, ∅).
 	if strategy.NoPremium() {
-		s.finalize(eq)
-		return eq
+		s.finalize(eq, retain)
+		return
 	}
 
 	// Initial partition.
@@ -406,15 +431,10 @@ func (s *Solver) CompetitiveFrom(strategy Strategy, nu float64, pop traffic.Popu
 	if eps <= 0 {
 		eps = 1e-9
 	}
-	type mover struct {
-		idx  int
-		gain float64 // apparent utility improvement of switching, always > 0
-	}
 	// screen collects CPs whose switch looks profitable at the advertised
 	// class levels (an upper bound on the true gain), best first.
-	movers := make([]mover, 0, len(pop))
 	screen := func(lO, lP float64) []mover {
-		movers = movers[:0]
+		movers := s.movers[:0]
 		for i := range pop {
 			g := s.switchGain(&pop[i], strategy.C, lO, lP)
 			band := eps * utilityScale(&pop[i], strategy.C)
@@ -436,6 +456,7 @@ func (s *Solver) CompetitiveFrom(strategy Strategy, nu float64, pop traffic.Popu
 			}
 			return 0
 		})
+		s.movers = movers
 		return movers
 	}
 
@@ -454,8 +475,8 @@ func (s *Solver) CompetitiveFrom(strategy Strategy, nu float64, pop traffic.Popu
 		ms := screen(lO, lP)
 		if len(ms) == 0 {
 			eq.EpsUsed = eps
-			s.finalize(eq)
-			return eq
+			s.finalize(eq, retain)
+			return
 		}
 		if len(ms) > cap1 {
 			ms = ms[:cap1]
@@ -536,8 +557,8 @@ func (s *Solver) CompetitiveFrom(strategy Strategy, nu float64, pop traffic.Popu
 		if movedIdx < 0 {
 			// No candidate survives post-join verification: equilibrium.
 			eq.EpsUsed = eps
-			s.finalize(eq)
-			return eq
+			s.finalize(eq, retain)
+			return
 		}
 		lO, lP = levels(eq.InPremium)
 		if s.seen.add(eq.InPremium) {
@@ -549,8 +570,7 @@ func (s *Solver) CompetitiveFrom(strategy Strategy, nu float64, pop traffic.Popu
 	}
 	eq.Converged = false
 	eq.EpsUsed = eps
-	s.finalize(eq)
-	return eq
+	s.finalize(eq, retain)
 }
 
 // Trivial computes the degenerate strategy profiles of the paper without
@@ -572,7 +592,7 @@ func (s *Solver) Trivial(strategy Strategy, nu float64, pop traffic.Population) 
 		for i := range pop {
 			eq.InPremium[i] = pop[i].V > strategy.C
 		}
-		s.finalize(eq)
+		s.finalize(eq, true)
 		return eq
 	default:
 		return s.Competitive(strategy, nu, pop)
@@ -580,14 +600,17 @@ func (s *Solver) Trivial(strategy Strategy, nu float64, pop traffic.Population) 
 }
 
 // finalize computes the exact intra-class equilibria and the per-CP θ for
-// the current partition. The intra-class solves run on the warm kernels;
-// the results are cloned because ClassEquilibrium retains them past the
-// solver's next use of the workspaces.
-func (s *Solver) finalize(eq *ClassEquilibrium) {
+// the current partition. The intra-class solves run on the warm kernels.
+// With retain, the results are cloned because ClassEquilibrium keeps them
+// past the solver's next use of the workspaces; a probe reads them in place.
+func (s *Solver) finalize(eq *ClassEquilibrium, retain bool) {
 	s.kernels()
 	o, p := s.splitScratch(eq.Pop, eq.InPremium)
-	eq.Ordinary = s.wsO.Solve((1-eq.Strategy.Kappa)*eq.Nu, o).Clone()
-	eq.Premium = s.wsP.Solve(eq.Strategy.Kappa*eq.Nu, p).Clone()
+	eq.Ordinary = s.wsO.Solve((1-eq.Strategy.Kappa)*eq.Nu, o)
+	eq.Premium = s.wsP.Solve(eq.Strategy.Kappa*eq.Nu, p)
+	if retain {
+		eq.Ordinary, eq.Premium = eq.Ordinary.Clone(), eq.Premium.Clone()
+	}
 	oi, pi := 0, 0
 	for i := range eq.Pop {
 		if eq.InPremium[i] {
@@ -615,6 +638,12 @@ func split(pop traffic.Population, premium []bool) (ordinary, prem traffic.Popul
 	return ordinary, prem
 }
 
+// mover is a CP whose class switch the dynamics screen as profitable.
+type mover struct {
+	idx  int
+	gain float64 // apparent utility improvement of switching, always > 0
+}
+
 // partitionSet tracks the class partitions the dynamics have visited, for
 // cycle detection. Membership bits are packed into a reused buffer and
 // hashed with 64-bit FNV-1a; the packed key is stored per hash bucket and
@@ -627,11 +656,12 @@ type partitionSet struct {
 	buf []byte
 }
 
-// reset empties the set.
+// reset empties the set in place, keeping the map's buckets.
 func (ps *partitionSet) reset() {
-	if ps.m == nil || len(ps.m) > 0 {
+	if ps.m == nil {
 		ps.m = make(map[uint64][][]byte, 64)
 	}
+	clear(ps.m)
 }
 
 // add records the partition and reports whether it was already present.

@@ -63,7 +63,7 @@ func solverGoldens() []goldenCase {
 		{"triopoly/share1", tri.Shares[1], 0.33001415184368194},
 		{"triopoly/phi", tri.Phi, 19.974629546309217},
 		{"subsidy/share0", sub.Shares[0], 0.53106184670077172},
-		{"subsidy/grossPhi", sub.GrossPhi, 19.703825041753419},
+		{"subsidy/grossPhi", sub.GrossPhi, 19.703825041753426},
 	}
 }
 

@@ -53,9 +53,10 @@ func (o *MarketOutcome) String() string {
 	return s + ")"
 }
 
-// minShare bounds market shares away from 0 and 1 in the bisections: an ISP
-// with vanishing share has per-capita capacity γν̄/m → ∞, where its surplus
-// has already saturated at MaxPhi, so nothing changes below this floor.
+// minShare bounds market shares away from 0 and 1 in the migration search
+// and the share curves: an ISP with vanishing share has per-capita capacity
+// γν̄/m → ∞, where its surplus has already saturated at MaxPhi, so nothing
+// changes below this floor.
 const minShare = 1e-9
 
 // Market solves consumer-migration equilibria for a fixed population and
@@ -66,7 +67,8 @@ type Market struct {
 	Pop    traffic.Population
 	NuBar  float64
 	// MigrationTol is the absolute market-share tolerance of the consumer
-	// migration bisection (Assumption 5). The default 1e-8 resolves shares
+	// migration search (Assumption 5): the equilibrium share lies in a
+	// bracket no wider than MigrationTol. The default 1e-8 resolves shares
 	// far beyond anything the experiments read; loosen it for speed in
 	// large sweeps.
 	MigrationTol float64
@@ -84,9 +86,10 @@ func NewMarket(s *Solver, pop traffic.Population, nuBar float64) *Market {
 	return &Market{Solver: s, Pop: pop, NuBar: nuBar, MigrationTol: 1e-8, warm: make(map[string][]bool)}
 }
 
-// phiAtShare returns ISP k's per-capita consumer surplus when it holds
-// market share m, together with the class equilibrium that produced it.
-func (mk *Market) phiAtShare(isp ISP, m float64) (float64, *ClassEquilibrium) {
+// classGameAt solves ISP k's class game at market share m, warm-started
+// from (and updating) the ISP's last partition. Without retain it is a
+// probe: the equilibrium is only valid until the solver's next solve.
+func (mk *Market) classGameAt(isp ISP, m float64, retain bool) *ClassEquilibrium {
 	if m < minShare {
 		m = minShare
 	}
@@ -99,20 +102,60 @@ func (mk *Market) phiAtShare(isp ISP, m float64) (float64, *ClassEquilibrium) {
 	if sat := mk.Pop.TotalUnconstrainedPerCapita(); nu > 1e4*sat {
 		nu = 1e4 * sat
 	}
-	eq := mk.Solver.CompetitiveFrom(isp.Strategy, nu, mk.Pop, mk.warm[isp.Name])
-	mk.warm[isp.Name] = append(mk.warm[isp.Name][:0], eq.InPremium...)
-	return eq.Phi(), eq
+	warm := mk.warm[isp.Name]
+	var eq *ClassEquilibrium
+	if retain {
+		eq = mk.Solver.CompetitiveFrom(isp.Strategy, nu, mk.Pop, warm)
+	} else {
+		eq = mk.Solver.probe(isp.Strategy, nu, mk.Pop, warm)
+	}
+	mk.warm[isp.Name] = append(warm[:0], eq.InPremium...)
+	return eq
 }
 
-// SolveDuopoly computes the migration equilibrium of two ISPs by direct
-// bisection on ISP a's market share: the gap Φ_a(m) − Φ_b(1−m) is
-// non-increasing in m (Theorem 2 via ν_a = γ_a·ν̄/m), so the equalization
-// point is unique up to the discontinuities of the class game. Boundary
-// cases clamp: if even an infinitesimal share of consumers at a experiences
-// less surplus than b provides to everyone, a's share is 0 (the paper's
-// c_I = 1 corner where "all consumers move to ISP J").
-func (mk *Market) SolveDuopoly(a, b ISP) *MarketOutcome {
-	for _, isp := range []ISP{a, b} {
+// valueAt returns the per-capita consumer value Φ + σ·Ψ of ISP k at market
+// share m (Φ alone when σ = 0) and the class equilibrium behind it.
+func (mk *Market) valueAt(isp SubsidizedISP, m float64, retain bool) (float64, *ClassEquilibrium) {
+	eq := mk.classGameAt(isp.ISP, m, retain)
+	v := eq.Phi()
+	if isp.Sigma > 0 {
+		v += isp.Sigma * eq.Psi()
+	}
+	return v, eq
+}
+
+// migration is a consumer-migration equilibrium of two ISPs: the shares,
+// the class equilibria at them, and the equalized consumer value.
+type migration struct {
+	shares []float64
+	eqs    []*ClassEquilibrium
+	value  float64
+}
+
+// migrate computes the migration equilibrium of two ISPs under Assumption
+// 5, with consumers choosing by value Φ + σ·Ψ (σ = 0 is the paper's model).
+// The gap v_a(m) − v_b(1−m) is non-increasing in a's share m (Theorem 2 via
+// ν_a = γ_a·ν̄/m), so the equalization point is unique up to the
+// discontinuities of the class game.
+//
+// Equilibrium selection: when both ISPs already deliver equal value at the
+// capacity-proportional split γ (typically because capacity is abundant and
+// both saturate), every split is an equilibrium and there is no migration
+// pressure at all; the split is γ, consistent with Lemma 4's
+// homogeneous-strategy equilibrium. Otherwise the split is the crossing of
+// the gap bracketed outward from γ by numeric.BracketDecreasing, which
+// matches a cold bisection over [minShare, 1−minShare] bit for bit wherever
+// the gap is monotone. The start is γ and never a previous solve's share,
+// so the answer does not depend on solve order even where the gap has
+// several crossings. Search probes retain nothing; only the two accepted
+// equilibria are kept.
+//
+// Boundary cases clamp: if even an infinitesimal share of consumers at a
+// gets less value than b provides to everyone, a's share is 0 (the paper's
+// c_I = 1 corner where "all consumers move to ISP J"), and the market level
+// is the value of the ISP serving (essentially) everyone.
+func (mk *Market) migrate(a, b SubsidizedISP) migration {
+	for _, isp := range []SubsidizedISP{a, b} {
 		if err := isp.Validate(); err != nil {
 			panic(err)
 		}
@@ -123,48 +166,39 @@ func (mk *Market) SolveDuopoly(a, b ISP) *MarketOutcome {
 	if math.Abs(a.Gamma+b.Gamma-1) > 1e-9 {
 		panic(fmt.Sprintf("core: duopoly capacity shares must sum to 1, got %g", a.Gamma+b.Gamma))
 	}
-	gap := func(m float64) float64 {
-		phiA, _ := mk.phiAtShare(a, m)
-		phiB, _ := mk.phiAtShare(b, 1-m)
-		return phiA - phiB
-	}
 	tol := mk.MigrationTol
 	if tol <= 0 {
 		tol = 1e-8
 	}
-	// Equilibrium selection on indifference plateaus: when both ISPs
-	// already deliver equal surplus at the capacity-proportional split
-	// (typically because capacity is abundant and both saturate), every
-	// split is an equilibrium of Assumption 5 — there is no migration
-	// pressure at all. Select the capacity-proportional point, consistent
-	// with Lemma 4's homogeneous-strategy equilibrium; otherwise bisect.
-	var m float64
-	phiAtGammaA, _ := mk.phiAtShare(a, a.Gamma)
-	phiAtGammaB, _ := mk.phiAtShare(b, b.Gamma)
-	if math.Abs(phiAtGammaA-phiAtGammaB) <= 1e-9*math.Max(math.Max(phiAtGammaA, phiAtGammaB), 1) {
-		m = a.Gamma
-	} else {
-		m = numeric.BisectDecreasing(gap, minShare, 1-minShare, tol)
+	m := a.Gamma
+	vGA, _ := mk.valueAt(a, a.Gamma, false)
+	vGB, _ := mk.valueAt(b, b.Gamma, false)
+	if math.Abs(vGA-vGB) > 1e-9*math.Max(math.Max(vGA, vGB), 1) {
+		m = numeric.BracketDecreasing(func(m float64) float64 {
+			va, _ := mk.valueAt(a, m, false)
+			vb, _ := mk.valueAt(b, 1-m, false)
+			return va - vb
+		}, minShare, 1-minShare, a.Gamma, vGA-vGB, tol)
 	}
-	phiA, eqA := mk.phiAtShare(a, m)
-	phiB, eqB := mk.phiAtShare(b, 1-m)
-	out := &MarketOutcome{
-		ISPs:   []ISP{a, b},
-		NuBar:  mk.NuBar,
-		Shares: []float64{m, 1 - m},
-		Eqs:    []*ClassEquilibrium{eqA, eqB},
-		// The equalized level; at a clamped boundary the market level is
-		// the surplus of the ISP serving (essentially) everyone.
-		Phi: math.Max(phiA, phiB),
-	}
+	va, eqA := mk.valueAt(a, m, true)
+	vb, eqB := mk.valueAt(b, 1-m, true)
+	out := migration{shares: []float64{m, 1 - m}, eqs: []*ClassEquilibrium{eqA, eqB}, value: math.Max(va, vb)}
 	if m <= 2*minShare {
-		out.Shares = []float64{0, 1}
-		out.Phi = phiB
+		out.shares = []float64{0, 1}
+		out.value = vb
 	} else if m >= 1-2*minShare {
-		out.Shares = []float64{1, 0}
-		out.Phi = phiA
+		out.shares = []float64{1, 0}
+		out.value = va
 	}
 	return out
+}
+
+// SolveDuopoly computes the consumer-migration equilibrium of two ISPs on
+// per-capita consumer surplus Φ; see migrate for the search and the
+// equilibrium selection.
+func (mk *Market) SolveDuopoly(a, b ISP) *MarketOutcome {
+	mg := mk.migrate(SubsidizedISP{ISP: a}, SubsidizedISP{ISP: b})
+	return &MarketOutcome{ISPs: []ISP{a, b}, NuBar: mk.NuBar, Shares: mg.shares, Eqs: mg.eqs, Phi: mg.value}
 }
 
 // shareCurvePoints is the resolution of the per-ISP share→surplus curves
@@ -200,8 +234,8 @@ func (mk *Market) SolveMarket(isps []ISP) *MarketOutcome {
 		panic(fmt.Sprintf("core: capacity shares must sum to 1, got %g", gammaSum))
 	}
 	if len(isps) == 1 {
-		phi, eq := mk.phiAtShare(isps[0], 1)
-		return &MarketOutcome{ISPs: isps, NuBar: mk.NuBar, Shares: []float64{1}, Eqs: []*ClassEquilibrium{eq}, Phi: phi}
+		eq := mk.classGameAt(isps[0], 1, true)
+		return &MarketOutcome{ISPs: isps, NuBar: mk.NuBar, Shares: []float64{1}, Eqs: []*ClassEquilibrium{eq}, Phi: eq.Phi()}
 	}
 
 	// Precompute Φ_k over a share grid, dense near zero where the curve
@@ -212,7 +246,7 @@ func (mk *Market) SolveMarket(isps []ISP) *MarketOutcome {
 	for k, isp := range isps {
 		curve := make([]float64, len(grid))
 		for j, m := range grid {
-			curve[j], _ = mk.phiAtShare(isp, m)
+			curve[j] = mk.classGameAt(isp, m, false).Phi()
 		}
 		// Enforce monotone non-increasing in m (solver noise and class-jump
 		// discontinuities can wiggle): take the running max from the right,
@@ -280,7 +314,7 @@ func (mk *Market) SolveMarket(isps []ISP) *MarketOutcome {
 	}
 	out.Eqs = make([]*ClassEquilibrium, len(isps))
 	for k, isp := range isps {
-		_, out.Eqs[k] = mk.phiAtShare(isp, math.Max(out.Shares[k], minShare))
+		out.Eqs[k] = mk.classGameAt(isp, math.Max(out.Shares[k], minShare), true)
 	}
 	return out
 }

@@ -203,3 +203,17 @@ func TestMarketOutcomeAccessors(t *testing.T) {
 		t.Fatal("String() empty")
 	}
 }
+
+// TestSolveDuopolyWorkBudget gates the migration search on deterministic
+// work rather than wall time: a cold SolveDuopoly of each fixed case must
+// take at most half the kernel solves the cold bisection took. The
+// bisection over [minShare, 1−minShare] took 282 (ckappa150) and 186
+// (gamma1000) kernel solves; the bracketed search takes 56 and 48.
+func TestSolveDuopolyWorkBudget(t *testing.T) {
+	budget := map[string]uint64{"ckappa150": 282 / 2, "gamma1000": 186 / 2}
+	for _, c := range duopolyCases() {
+		if _, n := c.solveDuopolyCold(); n > budget[c.name] {
+			t.Errorf("%s: SolveDuopoly took %d kernel solves, budget %d", c.name, n, budget[c.name])
+		}
+	}
+}

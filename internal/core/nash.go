@@ -63,7 +63,7 @@ func (s *Solver) Nash(strategy Strategy, nu float64, pop traffic.Population, max
 		Converged: true,
 	}
 	if strategy.NoPremium() || len(pop) == 0 {
-		s.finalize(eq)
+		s.finalize(eq, true)
 		return eq
 	}
 	// Start from the affordability guess to shorten the dynamics.
@@ -83,12 +83,12 @@ func (s *Solver) Nash(strategy Strategy, nu float64, pop traffic.Population, max
 			}
 		}
 		if !moved {
-			s.finalize(eq)
+			s.finalize(eq, true)
 			return eq
 		}
 	}
 	eq.Converged = false
-	s.finalize(eq)
+	s.finalize(eq, true)
 	return eq
 }
 
@@ -144,7 +144,7 @@ func (s *Solver) AllNash(strategy Strategy, nu float64, pop traffic.Population) 
 			Theta:     make([]float64, n),
 			Converged: true,
 		}
-		s.finalize(eq)
+		s.finalize(eq, true)
 		if s.IsNash(eq, 0) {
 			out = append(out, eq)
 		}

@@ -3,8 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-
-	"github.com/netecon-sim/publicoption/internal/numeric"
 )
 
 // The paper's §VI closes with a caveat to the idealized market-share
@@ -49,65 +47,20 @@ type SubsidizedOutcome struct {
 	GrossPhi float64
 }
 
-// valueAtShare returns ISP k's per-capita consumer value at share m: the
-// class-game surplus plus the rebated fraction of premium revenue (both per
-// subscriber of this ISP).
-func (mk *Market) valueAtShare(isp SubsidizedISP, m float64) (float64, *ClassEquilibrium) {
-	phi, eq := mk.phiAtShare(isp.ISP, m)
-	return phi + isp.Sigma*eq.Psi(), eq
-}
-
 // SolveSubsidizedDuopoly computes the migration equilibrium of two ISPs
 // when consumers weigh rebates alongside surplus. The equalized quantity is
 // Φ + σ·Ψ; the monotone structure of the baseline model carries over
 // because Ψ, like Φ, is non-increasing in the ISP's own market share (more
-// subscribers squeeze the same capacity). Plateau selection follows
-// SolveDuopoly: capacity-proportional shares when consumers are indifferent
-// at that split.
+// subscribers squeeze the same capacity). The search and the plateau
+// selection are SolveDuopoly's (see Market.migrate); with σ = 0 at both
+// ISPs the shares and equilibria are SolveDuopoly's exactly.
 func (mk *Market) SolveSubsidizedDuopoly(a, b SubsidizedISP) *SubsidizedOutcome {
-	for _, s := range []SubsidizedISP{a, b} {
-		if err := s.Validate(); err != nil {
-			panic(err)
-		}
+	mg := mk.migrate(a, b)
+	return &SubsidizedOutcome{
+		ISPs:     []SubsidizedISP{a, b},
+		Shares:   mg.shares,
+		Eqs:      mg.eqs,
+		Value:    mg.value,
+		GrossPhi: mg.shares[0]*mg.eqs[0].Phi() + mg.shares[1]*mg.eqs[1].Phi(),
 	}
-	if a.Name == b.Name {
-		panic("core: duopoly ISPs must have distinct names")
-	}
-	if math.Abs(a.Gamma+b.Gamma-1) > 1e-9 {
-		panic(fmt.Sprintf("core: duopoly capacity shares must sum to 1, got %g", a.Gamma+b.Gamma))
-	}
-	gap := func(m float64) float64 {
-		va, _ := mk.valueAtShare(a, m)
-		vb, _ := mk.valueAtShare(b, 1-m)
-		return va - vb
-	}
-	tol := mk.MigrationTol
-	if tol <= 0 {
-		tol = 1e-8
-	}
-	var m float64
-	vGA, _ := mk.valueAtShare(a, a.Gamma)
-	vGB, _ := mk.valueAtShare(b, b.Gamma)
-	if math.Abs(vGA-vGB) <= 1e-9*math.Max(math.Max(vGA, vGB), 1) {
-		m = a.Gamma
-	} else {
-		m = numeric.BisectDecreasing(gap, minShare, 1-minShare, tol)
-	}
-	va, eqA := mk.valueAtShare(a, m)
-	vb, eqB := mk.valueAtShare(b, 1-m)
-	out := &SubsidizedOutcome{
-		ISPs:   []SubsidizedISP{a, b},
-		Shares: []float64{m, 1 - m},
-		Eqs:    []*ClassEquilibrium{eqA, eqB},
-		Value:  math.Max(va, vb),
-	}
-	if m <= 2*minShare {
-		out.Shares = []float64{0, 1}
-		out.Value = vb
-	} else if m >= 1-2*minShare {
-		out.Shares = []float64{1, 0}
-		out.Value = va
-	}
-	out.GrossPhi = out.Shares[0]*eqA.Phi() + out.Shares[1]*eqB.Phi()
-	return out
 }

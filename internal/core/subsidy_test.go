@@ -71,3 +71,28 @@ func TestSubsidyValidation(t *testing.T) {
 		SubsidizedISP{ISP: ISP{Name: "b", Gamma: 0.5, Strategy: PublicOption}, Sigma: 0},
 	)
 }
+
+// TestSubsidizedZeroSigmaEqualsDuopoly: with σ = 0 at both ISPs the rebate
+// game is the paper's model, and both solve through one migration search,
+// so on fresh markets the outcomes agree bit for bit.
+func TestSubsidizedZeroSigmaEqualsDuopoly(t *testing.T) {
+	pop := ensemble(81, 80)
+	sat := pop.TotalUnconstrainedPerCapita()
+	a := ISP{Name: "i", Gamma: 0.6, Strategy: Strategy{Kappa: 1, C: 0.3}}
+	b := ISP{Name: "po", Gamma: 0.4, Strategy: PublicOption}
+	for _, frac := range []float64{0.1, 0.4, 2} {
+		base := NewMarket(nil, pop, frac*sat).SolveDuopoly(a, b)
+		sub := NewMarket(nil, pop, frac*sat).SolveSubsidizedDuopoly(SubsidizedISP{ISP: a}, SubsidizedISP{ISP: b})
+		for k := range base.Shares {
+			if math.Float64bits(base.Shares[k]) != math.Float64bits(sub.Shares[k]) {
+				t.Errorf("ν=%g·sat: share %d is %.17g under σ=0, %.17g in SolveDuopoly", frac, k, sub.Shares[k], base.Shares[k])
+			}
+			if math.Float64bits(base.Eqs[k].Phi()) != math.Float64bits(sub.Eqs[k].Phi()) {
+				t.Errorf("ν=%g·sat: ISP %d Φ is %.17g under σ=0, %.17g in SolveDuopoly", frac, k, sub.Eqs[k].Phi(), base.Eqs[k].Phi())
+			}
+		}
+		if math.Float64bits(base.Phi) != math.Float64bits(sub.Value) {
+			t.Errorf("ν=%g·sat: equalized value %.17g under σ=0, Φ %.17g in SolveDuopoly", frac, sub.Value, base.Phi)
+		}
+	}
+}

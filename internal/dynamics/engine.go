@@ -303,7 +303,7 @@ func (e *Engine) observe(k int) *core.ClassEquilibrium {
 		m = shareFloor
 	}
 	nu := e.caps[k] / m
-	// Same saturation cap as core.Market.phiAtShare: far past saturation
+	// Same saturation cap as core.Market.classGameAt: far past saturation
 	// the equilibrium is flat, and an uncapped ν → ∞ would stall the class
 	// solver on a vanishing provider.
 	if sat := e.workPop.TotalUnconstrainedPerCapita(); nu > 1e4*sat {

@@ -61,6 +61,218 @@ func BisectDecreasing(f func(float64) float64, lo, hi, tol float64) float64 {
 	return Bisect(func(x float64) float64 { return -f(x) }, lo, hi, tol)
 }
 
+// bisectTree is the tree of intervals Bisect descends on [lo, hi] at
+// tolerance tol. A node [l, h] at depth d is a leaf when h−l <= tol or d
+// reaches maxBisectIter; otherwise it splits at l+(h−l)/2. The split points
+// form the tree's lattice. Bisect evaluates f only at lo, hi and lattice
+// points, and returns the midpoint of the leaf it ends in.
+type bisectTree struct{ lo, hi, tol float64 }
+
+// nearest returns the lattice point strictly inside (a, b) that is closest
+// to t, for a < t < b. It replays Bisect's descent toward t, so the point
+// is bit-identical to the one Bisect computes there. ok is false when
+// (a, b) holds no lattice point.
+//
+// When a and b are lattice points or tree endpoints, the deepest node
+// containing [a, b] lies on the path toward t, and its split point is
+// strictly inside (a, b) unless that node is a leaf.
+func (tr bisectTree) nearest(t, a, b float64) (p float64, ok bool) {
+	l, h := tr.lo, tr.hi
+	best := math.Inf(1)
+	for i := 0; i < maxBisectIter && h-l > tr.tol; i++ {
+		mid := l + (h-l)/2
+		if a < mid && mid < b {
+			if d := math.Abs(mid - t); d < best {
+				p, best, ok = mid, d, true
+			}
+		}
+		if t < mid {
+			h = mid
+		} else {
+			l = mid
+		}
+	}
+	return p, ok
+}
+
+// searchSlack is how many steps BracketDecreasing's narrowing may fall
+// behind bisection on the bracket it starts from.
+const searchSlack = 3
+
+// leafMid returns the midpoint of the leaf that adjoins the tree point p on
+// its right (right) or on its left, exactly as Bisect computes it there.
+func (tr bisectTree) leafMid(p float64, right bool) float64 {
+	l, h := tr.lo, tr.hi
+	for i := 0; i < maxBisectIter && h-l > tr.tol; i++ {
+		mid := l + (h-l)/2
+		if p < mid || (!right && p <= mid) {
+			h = mid
+		} else {
+			l = mid
+		}
+	}
+	return l + (h-l)/2
+}
+
+// BracketDecreasing returns what BisectDecreasing(f, lo, hi, tol) returns,
+// bit for bit, for a non-increasing f, with far fewer evaluations of f when
+// the root lies near a known point x0 where f(x0) = f0. When x0 is not
+// strictly inside (lo, hi), or f0 is NaN, the search evaluates f at the
+// lattice point nearest x0 (or the middle) instead. x0 itself need not be
+// a lattice point.
+//
+// From x0 it brackets the root outward, stepping by secant extrapolation
+// through its last two points, at least doubling the step each time. It
+// then narrows the bracket by Anderson–Björck regula falsi. Each step is
+// held within the radius of the bracket's midpoint that keeps the search
+// at most searchSlack steps behind bisection (the projection of the ITP
+// method), so no f makes it much slower than Bisect. Every probe is snapped
+// to the lattice of points Bisect would visit, so the search ends in the
+// very leaf interval Bisect ends in, and returns its midpoint. The clamps
+// match Bisect's, including exact zeros: lo when f(lo) <= 0, hi when
+// f(hi) >= 0.
+//
+// For any f, monotone or not, an interior result is the midpoint of a leaf
+// of Bisect's tree, no wider than tol, that holds an evaluated sign change:
+// a point with f > 0 left of a point with f <= 0 (or f < 0 at hi). The
+// crossing found then depends on x0 only when f has several. The package
+// tests pin the evaluation count for monotone f at no more than Bisect's
+// plus 12.
+func BracketDecreasing(f func(float64) float64, lo, hi, x0, f0, tol float64) float64 {
+	if tol <= 0 {
+		tol = DefaultTol
+	}
+	if lo > hi {
+		lo, hi = hi, lo
+	}
+	if !(hi-lo > tol) {
+		// The whole interval is one leaf: Bisect only checks the clamps.
+		return BisectDecreasing(f, lo, hi, tol)
+	}
+	tr := bisectTree{lo: lo, hi: hi, tol: tol}
+	if !(x0 > lo && x0 < hi) {
+		x0, f0 = lo+(hi-lo)/2, math.NaN()
+	}
+	if math.IsNaN(f0) {
+		var ok bool
+		if x0, ok = tr.nearest(x0, lo, hi); !ok {
+			return BisectDecreasing(f, lo, hi, tol)
+		}
+		f0 = f(x0)
+	}
+
+	// Bracket outward from x0. p is the known point nearest the root and
+	// q the one before it, both on the same side of the root.
+	var a, fa, b, fb float64
+	aStart, bStart := f0 > 0, !(f0 > 0) // which end x0 becomes
+	neg := f0 < 0                       // an f < 0 seen: for monotone f, hi does not clamp
+	dir, end := 1.0, hi
+	if !aStart {
+		dir, end = -1, lo
+	}
+	p, fp := x0, f0
+	q, fq := math.NaN(), math.NaN()
+	for step := (hi - lo) / 64; ; {
+		d := step
+		if dist := -fp * (p - q) / (fp - fq) * dir; dist > d {
+			d = math.Min(dist, 8*step)
+		}
+		t := p + dir*d
+		var c float64
+		ok := false
+		if dir > 0 && t < hi {
+			c, ok = tr.nearest(t, p, hi)
+		} else if dir < 0 && t > lo {
+			c, ok = tr.nearest(t, lo, p)
+		}
+		if !ok {
+			// The step runs past the end: the end decides.
+			fe := f(end)
+			if dir > 0 {
+				if fe >= 0 {
+					return hi
+				}
+				a, fa, b, fb, neg = p, fp, hi, fe, true
+			} else {
+				if fe <= 0 {
+					return lo
+				}
+				a, fa, b, fb = lo, fe, p, fp
+			}
+			break
+		}
+		fc := f(c)
+		neg = neg || fc < 0
+		if (fc > 0) == (dir > 0) {
+			q, fq, p, fp = p, fp, c, fc
+			step = 2 * math.Abs(c-q)
+			aStart, bStart = false, false
+			continue
+		}
+		if dir > 0 {
+			a, fa, b, fb = p, fp, c, fc
+		} else {
+			a, fa, b, fb = c, fc, p, fp
+		}
+		break
+	}
+	// Only exact zeros (or NaN) seen on the right: f(hi) may be zero too,
+	// and then Bisect clamps to hi.
+	if !neg && f(hi) >= 0 {
+		return hi
+	}
+
+	// Narrow [a, b], f(a) > 0 >= f(b). side is the end the last probe
+	// replaced: +1 for a, -1 for b.
+	nmax := searchSlack
+	if w := b - a; w > tol {
+		nmax += int(math.Ceil(math.Log2(w / tol)))
+	}
+	side := 0
+	for k := 0; ; k++ {
+		width := b - a
+		mid := a + width/2
+		t := mid
+		if s := b - fb*width/(fb-fa); s > a && s < b {
+			t = s
+		}
+		r := math.Max(tol/2*math.Ldexp(1, nmax-k)-width/2, 0)
+		t = math.Max(mid-r, math.Min(mid+r, t))
+		c, ok := tr.nearest(t, a, b)
+		if !ok {
+			break
+		}
+		if fc := f(c); fc > 0 {
+			if side == 1 {
+				fb *= andersonBjorck(fc, fa)
+			}
+			a, fa, side, aStart = c, fc, 1, false
+		} else {
+			if side == -1 {
+				fa *= andersonBjorck(fc, fb)
+			}
+			b, fb, side, bStart = c, fc, -1, false
+		}
+	}
+	switch {
+	case aStart:
+		return tr.leafMid(b, false)
+	case bStart:
+		return tr.leafMid(a, true)
+	}
+	return a + (b-a)/2
+}
+
+// andersonBjorck is the factor by which regula falsi scales the value at
+// the end it keeps when the other end is replaced twice running, fNew
+// replacing fOld: 1 − fNew/fOld, or ½ (Illinois) when that is not positive.
+func andersonBjorck(fNew, fOld float64) float64 {
+	if m := 1 - fNew/fOld; m > 0 {
+		return m
+	}
+	return 0.5
+}
+
 // BisectStrict finds a root of a continuous (not necessarily monotone) f in
 // [lo, hi]. Unlike Bisect it requires a sign change and returns ErrNoBracket
 // otherwise.
