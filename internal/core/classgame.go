@@ -360,13 +360,14 @@ func (s *Solver) CompetitiveFrom(strategy Strategy, nu float64, pop traffic.Popu
 	return eq
 }
 
-// probe is CompetitiveFrom for a caller that reads the equilibrium at once
-// and keeps nothing, such as one step of the migration search. It solves
-// into the solver's scratch equilibrium, and the class results alias the
-// kernels instead of being cloned. The returned equilibrium is valid until
-// the solver's next solve; the sequence of kernel solves, and so every
-// number, is the same as CompetitiveFrom's.
-func (s *Solver) probe(strategy Strategy, nu float64, pop traffic.Population, warm []bool) *ClassEquilibrium {
+// Probe is CompetitiveFrom for a caller that reads the equilibrium at once
+// and keeps nothing, such as one step of the migration search or one
+// observation of a dynamics tick. It solves into the solver's scratch
+// equilibrium, and the class results alias the kernels instead of being
+// cloned. The returned equilibrium is valid until the solver's next solve;
+// the sequence of kernel solves, and so every number, is the same as
+// CompetitiveFrom's.
+func (s *Solver) Probe(strategy Strategy, nu float64, pop traffic.Population, warm []bool) *ClassEquilibrium {
 	eq := &s.probeEq
 	if cap(eq.InPremium) < len(pop) {
 		eq.InPremium = make([]bool, len(pop))

@@ -107,7 +107,7 @@ func (mk *Market) classGameAt(isp ISP, m float64, retain bool) *ClassEquilibrium
 	if retain {
 		eq = mk.Solver.CompetitiveFrom(isp.Strategy, nu, mk.Pop, warm)
 	} else {
-		eq = mk.Solver.probe(isp.Strategy, nu, mk.Pop, warm)
+		eq = mk.Solver.Probe(isp.Strategy, nu, mk.Pop, warm)
 	}
 	mk.warm[isp.Name] = append(warm[:0], eq.InPremium...)
 	return eq
@@ -125,7 +125,8 @@ func (mk *Market) valueAt(isp SubsidizedISP, m float64, retain bool) (float64, *
 }
 
 // migration is a consumer-migration equilibrium of two ISPs: the shares,
-// the class equilibria at them, and the equalized consumer value.
+// the class equilibria at them (nil when not retained), and the equalized
+// consumer value.
 type migration struct {
 	shares []float64
 	eqs    []*ClassEquilibrium
@@ -147,14 +148,15 @@ type migration struct {
 // matches a cold bisection over [minShare, 1−minShare] bit for bit wherever
 // the gap is monotone. The start is γ and never a previous solve's share,
 // so the answer does not depend on solve order even where the gap has
-// several crossings. Search probes retain nothing; only the two accepted
-// equilibria are kept.
+// several crossings. Search probes retain nothing; with retain, the two
+// accepted equilibria are kept, and without it they are solved as probes
+// too, in the same sequence of kernel solves.
 //
 // Boundary cases clamp: if even an infinitesimal share of consumers at a
 // gets less value than b provides to everyone, a's share is 0 (the paper's
 // c_I = 1 corner where "all consumers move to ISP J"), and the market level
 // is the value of the ISP serving (essentially) everyone.
-func (mk *Market) migrate(a, b SubsidizedISP) migration {
+func (mk *Market) migrate(a, b SubsidizedISP, retain bool) migration {
 	for _, isp := range []SubsidizedISP{a, b} {
 		if err := isp.Validate(); err != nil {
 			panic(err)
@@ -180,9 +182,12 @@ func (mk *Market) migrate(a, b SubsidizedISP) migration {
 			return va - vb
 		}, minShare, 1-minShare, a.Gamma, vGA-vGB, tol)
 	}
-	va, eqA := mk.valueAt(a, m, true)
-	vb, eqB := mk.valueAt(b, 1-m, true)
-	out := migration{shares: []float64{m, 1 - m}, eqs: []*ClassEquilibrium{eqA, eqB}, value: math.Max(va, vb)}
+	va, eqA := mk.valueAt(a, m, retain)
+	vb, eqB := mk.valueAt(b, 1-m, retain)
+	out := migration{shares: []float64{m, 1 - m}, value: math.Max(va, vb)}
+	if retain {
+		out.eqs = []*ClassEquilibrium{eqA, eqB}
+	}
 	if m <= 2*minShare {
 		out.shares = []float64{0, 1}
 		out.value = vb
@@ -197,8 +202,21 @@ func (mk *Market) migrate(a, b SubsidizedISP) migration {
 // per-capita consumer surplus Φ; see migrate for the search and the
 // equilibrium selection.
 func (mk *Market) SolveDuopoly(a, b ISP) *MarketOutcome {
-	mg := mk.migrate(SubsidizedISP{ISP: a}, SubsidizedISP{ISP: b})
+	mg := mk.migrate(SubsidizedISP{ISP: a}, SubsidizedISP{ISP: b}, true)
 	return &MarketOutcome{ISPs: []ISP{a, b}, NuBar: mk.NuBar, Shares: mg.shares, Eqs: mg.eqs, Phi: mg.value}
+}
+
+// SolveShares returns the equilibrium market shares that SolveDuopoly (two
+// ISPs) or SolveMarket (any other number) computes, bit for bit, for a
+// caller that reads nothing else. It runs the same kernel solves and leaves
+// the same warm-start partitions, so the market's later solves are
+// unchanged too. For two ISPs it solves the accepted class equilibria as
+// probes and clones neither. isps is not retained.
+func (mk *Market) SolveShares(isps []ISP) []float64 {
+	if len(isps) == 2 {
+		return mk.migrate(SubsidizedISP{ISP: isps[0]}, SubsidizedISP{ISP: isps[1]}, false).shares
+	}
+	return mk.SolveMarket(isps).Shares
 }
 
 // shareCurvePoints is the resolution of the per-ISP share→surplus curves

@@ -55,7 +55,7 @@ type SubsidizedOutcome struct {
 // selection are SolveDuopoly's (see Market.migrate); with σ = 0 at both
 // ISPs the shares and equilibria are SolveDuopoly's exactly.
 func (mk *Market) SolveSubsidizedDuopoly(a, b SubsidizedISP) *SubsidizedOutcome {
-	mg := mk.migrate(a, b)
+	mg := mk.migrate(a, b, true)
 	return &SubsidizedOutcome{
 		ISPs:     []SubsidizedISP{a, b},
 		Shares:   mg.shares,

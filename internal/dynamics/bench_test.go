@@ -3,16 +3,22 @@ package dynamics
 import (
 	"testing"
 
+	"github.com/netecon-sim/publicoption/internal/obs"
 	"github.com/netecon-sim/publicoption/internal/scenario"
 )
 
 // BenchmarkSimulate times full built-in trajectories and reports the
-// per-tick cost — the number CI publishes in BENCH_dynamics.json. The
-// -benchmem allocs/op figure is the whole-run budget: per tick it is
-// dominated by the TickRecord's result slices (inherent: records are
-// returned to the caller), while the tick-internal hot path (scalePop,
-// advanceShares) is pinned allocation-free by TestTickHotPathZeroAlloc and
-// the hotpathalloc analyzer.
+// per-tick cost and kernel solves — the numbers CI publishes in
+// BENCH_dynamics.json. The -benchmem B/op figure is the whole-run budget,
+// and CI gates it at 1 MB. Every class game whose result a tick only reads
+// (the migration search and its accepted shares, the observations, the
+// revenue candidates) solves into the solver's scratch and clones nothing.
+// What remains is per-run setup (the population, scratch buffers growing to
+// size), the partitions the class game's cycle detector stores, the M/M/1
+// delay solve's result and the TickRecords returned to the caller. The
+// tick-internal hot path (scalePop, advanceShares) is pinned
+// allocation-free by TestTickHotPathZeroAlloc and the hotpathalloc
+// analyzer.
 func BenchmarkSimulate(b *testing.B) {
 	for _, name := range []string{"dyn-convergence", "dyn-demand-shock"} {
 		sc, ok := scenario.Get(name)
@@ -21,13 +27,15 @@ func BenchmarkSimulate(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
+			var stats obs.Counters
 			for i := 0; i < b.N; i++ {
-				if _, err := Run(sc, Options{}); err != nil {
+				if _, err := Run(sc, Options{Stats: &stats}); err != nil {
 					b.Fatal(err)
 				}
 			}
-			perTick := float64(b.Elapsed().Nanoseconds()) / float64(b.N*sc.Dynamics.Ticks)
-			b.ReportMetric(perTick, "ns/tick")
+			ticks := float64(b.N * sc.Dynamics.Ticks)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/ticks, "ns/tick")
+			b.ReportMetric(float64(stats.Snapshot().Solves)/ticks, "solves/tick")
 		})
 	}
 }

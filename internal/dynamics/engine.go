@@ -282,21 +282,17 @@ func (e *Engine) buildISPs(nuBar float64) []core.ISP {
 	return e.isps
 }
 
-// solveMarket computes the instantaneous migration equilibrium at the
-// current prices, capacities, and (scaled) demand.
-func (e *Engine) solveMarket() *core.MarketOutcome {
+// solveMarket computes the instantaneous migration equilibrium's shares at
+// the current prices, capacities, and (scaled) demand.
+func (e *Engine) solveMarket() []float64 {
 	nuBar := e.nuBar()
 	e.market.NuBar = nuBar
-	isps := e.buildISPs(nuBar)
-	if len(isps) == 2 {
-		return e.market.SolveDuopoly(isps[0], isps[1])
-	}
-	return e.market.SolveMarket(append([]core.ISP(nil), isps...))
+	return e.market.SolveShares(e.buildISPs(nuBar))
 }
 
 // observe solves provider k's realized class equilibrium at its adjusted
 // share, warm-started from the previous tick's observation of the same
-// provider.
+// provider. The equilibrium is a solver probe: valid until the next solve.
 func (e *Engine) observe(k int) *core.ClassEquilibrium {
 	m := e.shares[k]
 	if m < shareFloor {
@@ -309,7 +305,7 @@ func (e *Engine) observe(k int) *core.ClassEquilibrium {
 	if sat := e.workPop.TotalUnconstrainedPerCapita(); nu > 1e4*sat {
 		nu = 1e4 * sat
 	}
-	eq := e.solver.CompetitiveFrom(e.strats[k], nu, e.workPop, e.obsWarm[k])
+	eq := e.solver.Probe(e.strats[k], nu, e.workPop, e.obsWarm[k])
 	e.obsWarm[k] = append(e.obsWarm[k][:0], eq.InPremium...)
 	return eq
 }
@@ -358,8 +354,7 @@ func (e *Engine) Step() TickRecord {
 	}
 
 	// 4. Market: instantaneous migration equilibrium, then inert adjustment.
-	out := e.solveMarket()
-	copy(e.nextShares, out.Shares)
+	copy(e.nextShares, e.solveMarket())
 	e.advanceShares(e.nextShares)
 
 	// 5. Observe realized outcomes at the adjusted shares.

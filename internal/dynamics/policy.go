@@ -91,13 +91,7 @@ func (e *Engine) objective(k int, p scenario.PolicySpec, c float64) float64 {
 		e.market.NuBar = nuBar
 		isps := e.buildISPs(nuBar)
 		isps[k].Strategy = cand
-		var out *core.MarketOutcome
-		if len(isps) == 2 {
-			out = e.market.SolveDuopoly(isps[0], isps[1])
-		} else {
-			out = e.market.SolveMarket(append([]core.ISP(nil), isps...))
-		}
-		return out.Shares[k]
+		return e.market.SolveShares(isps)[k]
 	default: // scenario.ObjectiveRevenue
 		// Per-subscriber premium revenue Ψ at the provider's current share:
 		// the myopic "what do my existing subscribers pay" view. The share
@@ -114,7 +108,7 @@ func (e *Engine) objective(k int, p scenario.PolicySpec, c float64) float64 {
 		if e.polWarm == nil {
 			e.polWarm = make([][]bool, len(e.names))
 		}
-		eq := e.solver.CompetitiveFrom(cand, nu, e.workPop, e.polWarm[k])
+		eq := e.solver.Probe(cand, nu, e.workPop, e.polWarm[k])
 		e.polWarm[k] = append(e.polWarm[k][:0], eq.InPremium...)
 		return eq.Psi()
 	}

@@ -174,10 +174,9 @@ func FixedPointGap(sc *scenario.Scenario, rec TickRecord) (float64, error) {
 	for k := range e.strats {
 		e.strats[k] = core.Strategy{Kappa: rec.Kappas[k], C: rec.Prices[k]}
 	}
-	out := e.solveMarket()
 	var gap float64
-	for k := range out.Shares {
-		gap = math.Max(gap, math.Abs(out.Shares[k]-rec.Shares[k]))
+	for k, m := range e.solveMarket() {
+		gap = math.Max(gap, math.Abs(m-rec.Shares[k]))
 	}
 	return gap, nil
 }
